@@ -78,7 +78,7 @@ func (a abort) Error() string { return a.err.Error() + " (cooperative abort)" }
 // field (state) sits alone on its cache line so checkpoint polls from
 // many workers never false-share with the budget counter or each other's
 // data. Create with New, arm with WithTimeout/WithBudget, and Release
-// when the run is over (stops the deadline timer and context watcher).
+// when the run is over (stops the deadline timer, detaches contexts).
 //
 // All methods are safe for concurrent use, and all are nil-receiver
 // safe: a nil token never stops, never charges, and polls for free.
@@ -90,14 +90,14 @@ type Token struct {
 	remaining atomic.Int64 // budget bytes left; meaningful when limited
 	limited   atomic.Bool
 
-	mu    sync.Mutex
-	timer *time.Timer
-	stop  chan struct{} // closed by Release; ends the context watcher
+	mu      sync.Mutex
+	timer   *time.Timer
+	unbinds []func() bool // BindContext detachers, run by Release
 }
 
 // New returns a running token with no deadline and no budget.
 func New() *Token {
-	return &Token{stop: make(chan struct{})}
+	return &Token{}
 }
 
 // WithTimeout arms the token to trip with DeadlineExceeded after d.
@@ -214,28 +214,25 @@ func (t *Token) Remaining() int64 {
 
 // BindContext couples the token to ctx: when ctx is canceled the token
 // trips (DeadlineExceeded for a context deadline, Canceled otherwise).
-// The returned stop function detaches the watcher goroutine; callers
-// must invoke it (or Release the token) when the request is done, or
-// the watcher leaks until ctx itself resolves.
+// The coupling is a context.AfterFunc, so nothing runs until ctx is
+// done. The returned stop function detaches it synchronously: once stop
+// has returned, a later cancel of ctx can no longer trip the token.
+// Callers invoke it (or Release the token) when the request is done.
 func (t *Token) BindContext(ctx context.Context) func() {
 	if t == nil || ctx == nil || ctx.Done() == nil {
 		return func() {}
 	}
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				t.trip(DeadlineExceeded)
-			} else {
-				t.trip(Canceled)
-			}
-		case <-done:
-		case <-t.stop:
+	stop := context.AfterFunc(ctx, func() {
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			t.trip(DeadlineExceeded)
+		} else {
+			t.trip(Canceled)
 		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
+	})
+	t.mu.Lock()
+	t.unbinds = append(t.unbinds, stop)
+	t.mu.Unlock()
+	return func() { stop() }
 }
 
 // Propagate couples inner to outer: when outer trips, inner is canceled
@@ -272,7 +269,7 @@ func Propagate(outer, inner *Token) (stop func()) {
 }
 
 // Release ends the token's background machinery: the deadline timer is
-// stopped and every BindContext watcher is detached. The token's state
+// stopped and every BindContext coupling is detached. The token's state
 // is left as-is (a stopped token stays stopped). Idempotent.
 func (t *Token) Release() {
 	if t == nil {
@@ -283,13 +280,10 @@ func (t *Token) Release() {
 		t.timer.Stop()
 		t.timer = nil
 	}
-	if t.stop != nil {
-		select {
-		case <-t.stop:
-		default:
-			close(t.stop)
-		}
+	for _, stop := range t.unbinds {
+		stop()
 	}
+	t.unbinds = nil
 	t.mu.Unlock()
 }
 

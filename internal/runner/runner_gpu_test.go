@@ -1,6 +1,9 @@
 package runner
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"indigo/internal/algo"
@@ -12,18 +15,43 @@ import (
 
 // TestEveryGPUVariantVerifies runs all 518 CUDA-model variants on the
 // tiny study inputs and checks every result against the serial
-// references, mirroring §4.1 for the simulated GPUs.
+// references, mirroring §4.1 for the simulated GPUs. A device simulates
+// serially on its launching goroutine, so the cells are split across
+// GOMAXPROCS goroutines, each with its own device and reference per
+// graph (a Reference is not safe for concurrent use).
 func TestEveryGPUVariantVerifies(t *testing.T) {
 	graphs := testGraphs(t)
 	opt := algo.Options{Threads: 4}
-	for _, g := range graphs {
-		ref := verify.NewReference(g, opt)
-		d := gpusim.New(gpusim.RTXSim())
+	type cell struct {
+		g   int
+		cfg styles.Config
+	}
+	var cells []cell
+	for gi := range graphs {
 		for a := styles.Algorithm(0); a < styles.NumAlgorithms; a++ {
 			for _, cfg := range styles.Enumerate(a, styles.CUDA) {
-				res, st, err := RunGPU(d, g, cfg, opt)
+				cells = append(cells, cell{gi, cfg})
+			}
+		}
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			refs := make([]*verify.Reference, len(graphs))
+			devs := make([]*gpusim.Device, len(graphs))
+			for i := int(next.Add(1)) - 1; i < len(cells); i = int(next.Add(1)) - 1 {
+				gi, cfg := cells[i].g, cells[i].cfg
+				g := graphs[gi]
+				if refs[gi] == nil {
+					refs[gi] = verify.NewReference(g, opt)
+					devs[gi] = gpusim.New(gpusim.RTXSim())
+				}
+				res, st, err := RunGPU(devs[gi], g, cfg, opt)
 				if err == nil {
-					err = ref.Check(cfg, res)
+					err = refs[gi].Check(cfg, res)
 				}
 				if err != nil {
 					t.Errorf("graph %s: %v", g.Name, err)
@@ -32,8 +60,9 @@ func TestEveryGPUVariantVerifies(t *testing.T) {
 					t.Errorf("graph %s: %s reported %d cycles", g.Name, cfg.Name(), st.Cycles)
 				}
 			}
-		}
+		}()
 	}
+	wg.Wait()
 }
 
 // TestGPUVariantsOnTitanProfile spot-checks the second device profile.

@@ -145,7 +145,7 @@ func TestMemBudgetFailsCleanly(t *testing.T) {
 	h.arena = scratch.New()
 	pool := h.pool
 
-	o := sup.runTask(gs, ropt, task, h)
+	o := sup.runTask(gs, ropt, task, h).o
 	if o.Kind != Error {
 		t.Fatalf("over-budget run classified %s (%s), want error", o.Kind, o.Err)
 	}
@@ -242,7 +242,7 @@ func TestResumeReplaysCancelRerunsAbandon(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := j.append(Outcome{Task: tAbandon, Kind: Timeout,
-		Err: "no result within 1ns and no checkpoint within the 1ms grace window",
+		Err:      "no result within 1ns and no checkpoint within the 1ms grace window",
 		Attempts: 1, Reclaim: ReclaimAbandon}); err != nil {
 		t.Fatal(err)
 	}

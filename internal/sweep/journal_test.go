@@ -80,8 +80,8 @@ func TestJournalWritesCurrentVersion(t *testing.T) {
 }
 
 // TestObserver pins the Options.Observer contract: every completed
-// outcome is delivered (including journaled failures), concurrently
-// with other workers, after the outcome is final.
+// outcome is delivered (including journaled failures), in task order,
+// after the outcome is final.
 func TestObserver(t *testing.T) {
 	gs := testGraphs()
 	cfgs := styles.Enumerate(styles.BFS, styles.CPP)

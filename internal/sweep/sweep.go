@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"sync"
 	"time"
 
@@ -187,10 +188,12 @@ type Options struct {
 	// that armed Outer inspect it to tell a session stop from a variant
 	// failure.
 	Outer *guard.Token
-	// Workers sizes the pool. The default (<= 1) runs tasks one at a
-	// time: variants are internally parallel, and concurrent runs
-	// perturb each other's timing. Raise it for verification sweeps
-	// where only correctness matters.
+	// Workers caps how many host-timed (CPU) tasks run at once. The
+	// default (<= 1) runs each one alone: variants are internally
+	// parallel, and concurrent runs perturb each other's timing. Raise
+	// it for verification sweeps where only correctness matters.
+	// Simulated-GPU tasks are not capped by it: their measurement is
+	// simulated cycles, so they run on up to GOMAXPROCS workers.
 	Workers int
 	// Retries is how many times a transiently failed run (timeout,
 	// panic, wrong answer) is re-attempted before its failure is
@@ -213,19 +216,20 @@ type Options struct {
 	// re-running them, so an interrupted sweep continues where it died.
 	Resume bool
 	// Progress, when set, is called after every task (including resumed
-	// and quarantined ones) with the running completion count.
+	// and quarantined ones) with the running completion count, on Run's
+	// goroutine, in task order.
 	Progress func(done, total int, o Outcome)
 	// Observer, when set, receives every completed outcome (including
 	// resumed replays) right after it is journaled. It is how the
 	// results store subscribes to a sweep without the supervisor
 	// depending on internal/store: the wiring layer (harness, cmd)
 	// passes an observer that appends OK outcomes as store cells.
-	// Called from worker goroutines; must be safe for concurrent use.
+	// Called on Run's goroutine, in task order.
 	Observer func(Outcome)
 	// Trace, when live, is the span the sweep records under: one
 	// sweep.task span per executed task (with sweep.attempt children and
-	// retry/quarantine/reclaim points), flushed to the tracer's sink as
-	// each task finishes. The zero value disables tracing for free.
+	// retry/quarantine/reclaim/discard points), flushed to the tracer's
+	// sink as each task commits. The zero value disables tracing for free.
 	Trace trace.Ctx
 }
 
@@ -319,19 +323,34 @@ func Failures(outcomes []Outcome) []Failure {
 // order. graphs must be indexed by gen.Input (entries for inputs no
 // task names may be nil). The sweep never aborts: failures are
 // classified, journaled, and returned alongside the measurements.
+//
+// Tasks run on a pool of workers, each with its own par pool, arena and
+// simulated devices. A host-timed task (Device "cpu") is one whose
+// measurement concurrent work would perturb, so at most Workers of them
+// are in flight, and with Workers <= 1 one runs alone. A simulated task
+// measures simulated cycles, which host concurrency cannot change, so
+// simulated tasks fan out to GOMAXPROCS workers. Whatever the width,
+// outcomes are committed in task order on the calling goroutine —
+// journal, Observer, Progress, trace flush and quarantine bookkeeping —
+// so every outcome, the journal and the quarantine set are those of a
+// one-at-a-time run.
 func (s *Supervisor) Run(graphs []*graph.Graph, ropt algo.Options, tasks []Task) []Outcome {
-	out := make([]Outcome, len(tasks))
-	workers := s.opt.Workers
-	if workers < 1 {
-		workers = 1
+	host := max(s.opt.Workers, 1)
+	width := host
+	for _, t := range tasks {
+		if !t.hostTimed() {
+			width = max(width, runtime.GOMAXPROCS(0))
+			break
+		}
 	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
+	width = min(width, len(tasks))
+	g := newGate(host)
+	runs := make([]run, len(tasks))
 	idx := make(chan int)
+	fin := make(chan int, len(tasks))
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(width)
+	for w := 0; w < width; w++ {
 		go func() {
 			defer wg.Done()
 			// Each sweep worker owns one persistent par pool, reused
@@ -341,22 +360,121 @@ func (s *Supervisor) Run(graphs []*graph.Graph, ropt algo.Options, tasks []Task)
 			h := newPoolHolder(ropt)
 			defer h.close()
 			for i := range idx {
-				out[i] = s.runTask(graphs, ropt, tasks[i], h)
-				s.finish(out[i], len(tasks))
+				runs[i] = s.runTask(graphs, ropt, tasks[i], h)
+				fin <- i
 			}
 		}()
 	}
-	for i := range tasks {
-		idx <- i
+	// Dispatch in task order. A task holds its share of the gate from
+	// before it takes a worker until its commit, so a host-timed task
+	// that must run alone waits until every task ahead of it has been
+	// committed, and holds back every task behind it until its own
+	// commit: it runs exactly as in a one-at-a-time sweep.
+	go func() {
+		for i, t := range tasks {
+			g.acquire(t.hostTimed())
+			idx <- i
+		}
+		close(idx)
+	}()
+	out := make([]Outcome, len(tasks))
+	ready := make([]bool, len(tasks))
+	for next := 0; next < len(tasks); {
+		i := <-fin
+		ready[i] = true
+		for ; next < len(tasks) && ready[next]; next++ {
+			out[next] = s.commit(runs[next], len(tasks))
+			g.release(tasks[next].hostTimed())
+		}
 	}
-	close(idx)
 	wg.Wait()
 	return out
 }
 
-// finish journals the outcome, notifies the observer, and reports
-// progress.
-func (s *Supervisor) finish(o Outcome, total int) {
+// hostTimed reports whether the task's measurement is host time, which
+// concurrent work on the host would perturb.
+func (t Task) hostTimed() bool { return t.Device == DeviceCPU }
+
+// gate admits tasks to the workers in dispatch order: host-timed tasks
+// take the write side when they must run alone (Workers <= 1), else the
+// read side plus one of the Workers host slots; simulated tasks take the
+// read side.
+type gate struct {
+	rw        sync.RWMutex
+	exclusive bool
+	host      chan struct{}
+}
+
+func newGate(host int) *gate {
+	return &gate{exclusive: host == 1, host: make(chan struct{}, host)}
+}
+
+func (g *gate) acquire(hostTimed bool) {
+	switch {
+	case !hostTimed:
+		g.rw.RLock()
+	case g.exclusive:
+		g.rw.Lock()
+	default:
+		g.host <- struct{}{}
+		g.rw.RLock()
+	}
+}
+
+func (g *gate) release(hostTimed bool) {
+	switch {
+	case !hostTimed:
+		g.rw.RUnlock()
+	case g.exclusive:
+		g.rw.Unlock()
+	default:
+		g.rw.RUnlock()
+		<-g.host
+	}
+}
+
+// run is one task's result on its way from its worker to the commit.
+type run struct {
+	o Outcome
+	// ran marks an outcome of the attempt loop: its failure counts
+	// towards quarantine, and commit discards it if the variant was
+	// quarantined while it ran.
+	ran bool
+	// span is the task's sweep.task span, held until commit.
+	span trace.Ctx
+}
+
+// commit settles a task's outcome in task order: it applies quarantine
+// as a one-at-a-time sweep would have, then journals the outcome,
+// notifies the observer, reports progress and flushes the task's spans.
+func (s *Supervisor) commit(r run, total int) Outcome {
+	o := r.o
+	name := o.Cfg.Name()
+	s.mu.Lock()
+	switch {
+	case o.Resumed:
+		s.opt.Trace.PointAttr("sweep.resume", "task", o.Key())
+	case s.quarantined[name]:
+		// An earlier task's failure quarantined the variant after this
+		// one was dispatched: a one-at-a-time sweep would have skipped
+		// it, so its run is discarded.
+		if r.ran {
+			r.span.PointAttr("sweep.discard", "variant", name)
+		}
+		s.opt.Trace.PointAttr("sweep.quarantine", "variant", name)
+		o = Outcome{Task: o.Task, Kind: Quarantined,
+			Err: "variant quarantined after repeated failures"}
+	case r.ran && o.Kind != OK && s.opt.QuarantineAfter > 0:
+		s.failCount[name]++
+		if s.failCount[name] >= s.opt.QuarantineAfter {
+			s.quarantined[name] = true
+		}
+	}
+	s.done++
+	done := s.done
+	s.mu.Unlock()
+	r.span.Commit()
+
 	if s.jrnl != nil && !o.Resumed {
 		if err := s.jrnl.append(o); err != nil {
 			fmt.Fprintf(os.Stderr, "sweep: journal append failed: %v\n", err)
@@ -365,16 +483,13 @@ func (s *Supervisor) finish(o Outcome, total int) {
 	if s.opt.Observer != nil {
 		s.opt.Observer(o)
 	}
-	s.mu.Lock()
-	s.done++
-	done := s.done
-	s.mu.Unlock()
 	if s.opt.Progress != nil {
 		s.opt.Progress(done, total, o)
 	}
 	// Task end is a run boundary: push the task's completed spans to the
-	// journal before the next task starts.
+	// journal before the next task commits.
 	s.opt.Trace.Flush()
+	return o
 }
 
 // poolHolder owns one sweep worker's persistent par pool and scratch
@@ -438,8 +553,10 @@ func (h *poolHolder) close() {
 	scratch.Release(h.arena)
 }
 
-// runTask resolves resume and quarantine, then drives the retry loop.
-func (s *Supervisor) runTask(graphs []*graph.Graph, ropt algo.Options, t Task, h *poolHolder) Outcome {
+// runTask resolves resume and quarantine as far as the tasks committed
+// so far decide them, then drives the retry loop. It runs on a worker;
+// commit settles the outcome.
+func (s *Supervisor) runTask(graphs []*graph.Graph, ropt algo.Options, t Task, h *poolHolder) run {
 	if prior, ok := s.prior[t.Key()]; ok {
 		// Abandoned timeouts are not replayed: the runtime that produced
 		// them was poisoned (wedged pool, retired arena), so the record
@@ -448,8 +565,7 @@ func (s *Supervisor) runTask(graphs []*graph.Graph, ropt algo.Options, t Task, h
 		// too slow for the deadline.
 		if !(prior.Kind == Timeout && prior.Reclaim == ReclaimAbandon) {
 			prior.Resumed = true
-			s.opt.Trace.PointAttr("sweep.resume", "task", t.Key())
-			return prior
+			return run{o: prior}
 		}
 	}
 	name := t.Cfg.Name()
@@ -457,18 +573,16 @@ func (s *Supervisor) runTask(graphs []*graph.Graph, ropt algo.Options, t Task, h
 	skip := s.quarantined[name]
 	s.mu.Unlock()
 	if skip {
-		s.opt.Trace.PointAttr("sweep.quarantine", "variant", name)
-		return Outcome{Task: t, Kind: Quarantined,
-			Err: "variant quarantined after repeated failures"}
+		return run{o: Outcome{Task: t, Kind: Quarantined}}
 	}
 
 	if int(t.Input) < 0 || int(t.Input) >= len(graphs) || graphs[t.Input] == nil {
-		return Outcome{Task: t, Kind: Error,
-			Err: fmt.Sprintf("no graph for input %q", t.Input)}
+		return run{o: Outcome{Task: t, Kind: Error,
+			Err: fmt.Sprintf("no graph for input %q", t.Input)}}
 	}
 	g := graphs[t.Input]
 
-	sp := s.opt.Trace.Start("sweep.task")
+	sp := s.opt.Trace.Hold().Start("sweep.task")
 	if sp.Live() {
 		sp = sp.Attr("variant", name).Attr("input", t.Input.String()).Attr("device", t.Device)
 	}
@@ -492,15 +606,7 @@ func (s *Supervisor) runTask(graphs []*graph.Graph, ropt algo.Options, t Task, h
 		}
 	}
 	o.Elapsed = time.Since(start)
-	if o.Kind != OK && s.opt.QuarantineAfter > 0 {
-		s.mu.Lock()
-		s.failCount[name]++
-		if s.failCount[name] >= s.opt.QuarantineAfter {
-			s.quarantined[name] = true
-		}
-		s.mu.Unlock()
-	}
-	return o
+	return run{o: o, ran: true, span: sp}
 }
 
 // reply carries one attempt's result out of the run goroutine.

@@ -3,7 +3,7 @@
 // sweep, and par tests snapshot the goroutine set before the scenario
 // and assert afterwards that nothing the scenario started is still
 // running — a pool worker surviving a timeout, a coalescing waiter stuck
-// on a dead flight, a BindContext watcher nobody detached.
+// on a dead flight, a Propagate watcher nobody detached.
 package testutil
 
 import (
@@ -17,22 +17,22 @@ import (
 // never counts as leaks: the runtime's own helpers and the testing
 // framework's machinery, which come and go outside the test's control.
 var defaultIgnores = []string{
-	"testing.(*T).Run",          // parent test goroutines
-	"testing.tRunner",           // the test itself and parallel siblings
-	"testing.runTests",          // the framework's driver
-	"runtime.goexit0",           // exiting, not leaked
-	"runtime.gc",                // background collector
-	"runtime.bgsweep",           // background sweeper
-	"runtime.bgscavenge",        // background scavenger
-	"runtime/trace",             // execution tracer
-	"runtime.ReadTrace",         // execution tracer reader
-	"runtime.ensureSigM",        // signal mask goroutine
-	"os/signal.signal_recv",     // signal delivery
-	"os/signal.loop",            // signal delivery loop
-	"net/http.(*Server).Serve",  // listeners owned by still-open servers
-	"created by runtime.gc",     // GC helper spawns
-	"runtime.MutexProfile",      // profiler
-	"runtime/pprof",             // profiler writers
+	"testing.(*T).Run",         // parent test goroutines
+	"testing.tRunner",          // the test itself and parallel siblings
+	"testing.runTests",         // the framework's main test loop
+	"runtime.goexit0",          // exiting, not leaked
+	"runtime.gc",               // background collector
+	"runtime.bgsweep",          // background sweeper
+	"runtime.bgscavenge",       // background scavenger
+	"runtime/trace",            // execution tracer
+	"runtime.ReadTrace",        // execution tracer reader
+	"runtime.ensureSigM",       // signal mask goroutine
+	"os/signal.signal_recv",    // signal delivery
+	"os/signal.loop",           // signal delivery loop
+	"net/http.(*Server).Serve", // listeners owned by still-open servers
+	"created by runtime.gc",    // GC helper spawns
+	"runtime.MutexProfile",     // profiler
+	"runtime/pprof",            // profiler writers
 }
 
 // Leaks is the goroutine-leak checker. Take a snapshot with Snapshot

@@ -243,6 +243,7 @@ func sortEvents(evs []Event) {
 // usable from any goroutine.
 type Ctx struct {
 	tr     *Tracer
+	hold   *hold // non-nil: completed events wait here for Commit
 	trace  uint64
 	span   uint64
 	parent uint64
@@ -272,6 +273,7 @@ func (c Ctx) Start(name string) Ctx {
 	t.started.Add(1)
 	return Ctx{
 		tr:     t,
+		hold:   c.hold,
 		trace:  c.trace,
 		span:   t.ids.Add(1),
 		parent: c.span,
@@ -299,7 +301,7 @@ func (c Ctx) End() {
 	}
 	t := c.tr
 	t.finished.Add(1)
-	t.record(Event{
+	c.record(Event{
 		Trace:    c.trace,
 		Span:     c.span,
 		Parent:   c.parent,
@@ -328,7 +330,7 @@ func (c Ctx) PointAttr(name, key, val string) {
 		attrs = []Attr{{Key: key, Val: val}}
 	}
 	seq := t.seq.Add(1)
-	t.record(Event{
+	c.record(Event{
 		Trace:    c.trace,
 		Span:     t.ids.Add(1),
 		Parent:   c.span,
@@ -339,6 +341,65 @@ func (c Ctx) PointAttr(name, key, val string) {
 		BeginSeq: seq,
 		EndSeq:   seq,
 	})
+}
+
+// hold is the private buffer of a held subtree (see Ctx.Hold).
+type hold struct {
+	mu  sync.Mutex
+	evs []Event
+}
+
+// record files a completed event: into the subtree's hold when there
+// is one, else into the tracer's rings. A hold is capped at the rings'
+// total capacity and, like a ring, drops (and counts) past it.
+func (c Ctx) record(e Event) {
+	h := c.hold
+	if h == nil {
+		c.tr.record(e)
+		return
+	}
+	h.mu.Lock()
+	if len(h.evs) >= c.tr.cap*len(c.tr.shards) {
+		h.mu.Unlock()
+		c.tr.dropped.Add(1)
+		return
+	}
+	h.evs = append(h.evs, e)
+	h.mu.Unlock()
+}
+
+// Hold returns this span's Ctx with a fresh private buffer: every span
+// and point completed under it (through it or through Ctxs started from
+// it) waits in the buffer, out of reach of Flush, until Commit moves it
+// into the tracer's rings. A run that commits its results in an order
+// other than the one it executes them in — the sweep supervisor running
+// tasks concurrently and committing them in task order — holds each
+// task's subtree, so a flush at one task's commit never carries part of
+// another task still in flight. A disabled Ctx returns itself.
+func (c Ctx) Hold() Ctx {
+	if c.tr == nil {
+		return c
+	}
+	c.hold = &hold{}
+	return c
+}
+
+// Commit moves the events held for this Ctx's subtree into the tracer's
+// rings, where the next Flush finds them. Events completed under the
+// hold after Commit wait for a later Commit. A Ctx without a hold does
+// nothing.
+func (c Ctx) Commit() {
+	h := c.hold
+	if h == nil {
+		return
+	}
+	h.mu.Lock()
+	evs := h.evs
+	h.evs = nil
+	h.mu.Unlock()
+	for _, e := range evs {
+		c.tr.record(e)
+	}
 }
 
 // Flush drains the attached tracer's rings to its sink; a disabled Ctx

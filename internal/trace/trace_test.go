@@ -220,3 +220,46 @@ func TestConcurrentSpansRace(t *testing.T) {
 			len(sink.evs), c.Dropped, c.Finished, c.Points)
 	}
 }
+
+// TestHoldDefersUntilCommit: a held subtree's completed spans and points
+// stay out of every Flush until Commit, then arrive together, while the
+// rest of the trace flushes as usual; the hold is capped like a ring.
+func TestHoldDefersUntilCommit(t *testing.T) {
+	sink := &collect{}
+	tr := New(Config{Sink: sink, Capacity: 4, Shards: 1})
+	root := tr.NewTrace("root")
+	task := root.Hold().Start("task")
+	task.Start("kernel").End()
+	task.End()
+	root.Start("other").End()
+	tr.Flush()
+	if len(sink.evs) != 1 || sink.evs[0].Name != "other" {
+		t.Fatalf("flush before Commit delivered %v, want only the unheld span", names(sink.evs))
+	}
+	task.Point("discard") // after End: still under the task, still held
+	task.Commit()
+	tr.Flush()
+	if got := names(sink.evs[1:]); got != "task kernel discard" {
+		t.Fatalf("flush after Commit delivered %q, want the whole held subtree in begin order", got)
+	}
+
+	big := root.Hold()
+	for i := 0; i < 6; i++ {
+		big.Start("s").End()
+	}
+	big.Commit()
+	if c := tr.Counters(); c.Dropped != 2 {
+		t.Fatalf("dropped = %d, want 2 past the hold's capacity of 4", c.Dropped)
+	}
+
+	var off Ctx
+	off.Hold().Commit() // disabled: inert
+}
+
+func names(evs []Event) string {
+	var s []string
+	for _, e := range evs {
+		s = append(s, e.Name)
+	}
+	return strings.Join(s, " ")
+}
