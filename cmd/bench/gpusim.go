@@ -13,28 +13,22 @@ import (
 	"indigo/internal/styles"
 )
 
-// GPUSimComparison is one kernel family measured on the sharded cost
-// model against the shared-atomic baseline it replaced. One op is a
-// full algorithm run (all of its launches) on a reused, Reset device —
-// the sweep supervisor's steady state.
-type GPUSimComparison struct {
-	Name      string  `json:"name"`
-	ShardedNs float64 `json:"sharded_ns_per_op"`
-	SharedNs  float64 `json:"shared_ns_per_op"`
-	// Speedup is SharedNs / ShardedNs: >1 means the sharded model wins.
-	Speedup       float64 `json:"speedup"`
-	ShardedAllocs int64   `json:"sharded_allocs_per_op"`
-	SharedAllocs  int64   `json:"shared_allocs_per_op"`
-	ShardedBytes  int64   `json:"sharded_bytes_per_op"`
-	SharedBytes   int64   `json:"shared_bytes_per_op"`
+// GPUSimCase is one kernel family measured on the sharded cost model.
+// One op is a full algorithm run (all of its launches) on a reused,
+// Reset device — the sweep supervisor's steady state.
+type GPUSimCase struct {
+	Name   string  `json:"name"`
+	Ns     float64 `json:"ns_per_op"`
+	Allocs int64   `json:"allocs_per_op"`
+	Bytes  int64   `json:"bytes_per_op"`
 }
 
 // GPUSimReport is the -gpusim document (source of BENCH_gpusim.json).
 type GPUSimReport struct {
-	GoVersion   string             `json:"go_version"`
-	GOMAXPROCS  int                `json:"gomaxprocs"`
-	Quick       bool               `json:"quick"`
-	Comparisons []GPUSimComparison `json:"comparisons"`
+	GoVersion  string       `json:"go_version"`
+	GOMAXPROCS int          `json:"gomaxprocs"`
+	Quick      bool         `json:"quick"`
+	Cases      []GPUSimCase `json:"cases"`
 }
 
 // gpusimCase is one measured kernel family.
@@ -46,12 +40,11 @@ type gpusimCase struct {
 
 // gpusimCases covers both execution paths of the simulator: non-barrier
 // kernels (blocks simulated sequentially; data-driven BFS is the
-// many-small-launches extreme, where the baseline's per-launch fixed
-// costs — allocations and the full atomic-table scan — dominate) and
-// barrier kernels (reduction-add syncs per round; block-granularity MIS
-// is the barrier extreme, three __syncthreads per work item). Variants
-// come from the enumerated suite so every config is a valid style
-// combination.
+// many-small-launches extreme, where per-launch fixed costs dominate)
+// and barrier kernels (reduction-add syncs per round; block-granularity
+// MIS is the barrier extreme, three __syncthreads per work item).
+// Variants come from the enumerated suite so every config is a valid
+// style combination.
 func gpusimCases() []gpusimCase {
 	pick := func(a styles.Algorithm, want func(styles.Config) bool) styles.Config {
 		for _, cfg := range styles.Enumerate(a, styles.CUDA) {
@@ -80,9 +73,9 @@ func gpusimCases() []gpusimCase {
 	}
 }
 
-// gpusimBench measures each case on both models. Both sides reuse one
-// device across ops (Reset between), so the comparison isolates the
-// cost model itself rather than device construction.
+// gpusimBench measures each case on one device reused across ops
+// (Reset between), so the numbers isolate the cost model rather than
+// device construction.
 func gpusimBench(bt time.Duration, quick bool) GPUSimReport {
 	rep := GPUSimReport{
 		GoVersion:  runtime.Version(),
@@ -92,35 +85,21 @@ func gpusimBench(bt time.Duration, quick bool) GPUSimReport {
 	for _, c := range gpusimCases() {
 		g := gen.Generate(c.in, gen.Tiny)
 		cfg := c.cfg
-		run := func(d *gpusim.Device) metrics {
-			return measure(bt, func(b *testing.B) {
-				opt := algo.Options{}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					d.Reset()
-					runner.RunGPU(d, g, cfg, opt) //nolint:errcheck // benchmark body
-				}
-			})
-		}
-		sharded := run(gpusim.New(gpusim.RTXSim()))
-		base := gpusim.New(gpusim.RTXSim())
-		base.SetSharedBaseline(true)
-		shared := run(base)
-		rep.Comparisons = append(rep.Comparisons, GPUSimComparison{
-			Name:          c.name,
-			ShardedNs:     sharded.ns,
-			SharedNs:      shared.ns,
-			Speedup:       shared.ns / sharded.ns,
-			ShardedAllocs: sharded.allocs,
-			SharedAllocs:  shared.allocs,
-			ShardedBytes:  sharded.bytes,
-			SharedBytes:   shared.bytes,
+		d := gpusim.New(gpusim.RTXSim())
+		m := measure(bt, func(b *testing.B) {
+			opt := algo.Options{}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.Reset()
+				runner.RunGPU(d, g, cfg, opt) //nolint:errcheck // benchmark body
+			}
 		})
+		rep.Cases = append(rep.Cases, GPUSimCase{Name: c.name, Ns: m.ns, Allocs: m.allocs, Bytes: m.bytes})
 	}
 	return rep
 }
 
-// gpusimAllocCheck pins the sharded model's steady state: a warmed
+// gpusimAllocCheck pins the simulator's steady state: a warmed
 // device's Launch — sequential or barrier — performs zero heap
 // allocations. Returns the observed per-launch average and whether the
 // budget held.

@@ -87,7 +87,7 @@ func main() {
 	ingest := flag.Bool("ingest", false,
 		"measure the chunked parallel graph ingest against the serial readers and emit that report instead (source of BENCH_ingest.json)")
 	gpusimFlag := flag.Bool("gpusim", false,
-		"measure the sharded GPU cost model against the shared-atomic baseline and emit that report instead (source of BENCH_gpusim.json); with -alloccheck also pins the warmed Launch at zero allocations")
+		"measure the GPU simulator per kernel family and emit that report instead (source of BENCH_gpusim.json); with -alloccheck also pins the warmed Launch at zero allocations")
 	tuneFlag := flag.Bool("tune", false,
 		"race the autotuner against an exhaustive sweep per cell and emit that report instead (source of BENCH_tune.json); exits 1 if any cell misses the regret or spend bar")
 	traceFlag := flag.Bool("traceoverhead", false,

@@ -24,9 +24,7 @@ import (
 	"strings"
 
 	"indigo/internal/gen"
-	"indigo/internal/graph"
 	"indigo/internal/harness"
-	"indigo/internal/scratch"
 	"indigo/internal/store"
 	"indigo/internal/sweep"
 	"indigo/internal/trace"
@@ -41,12 +39,8 @@ func main() {
 	journal := flag.String("journal", "", "JSONL measurement journal to append to")
 	resume := flag.Bool("resume", false, "skip variants already recorded in -journal")
 	storePath := flag.String("store", "", "results store file: completed runs are appended, existing cells seed the session")
-	useScratch := flag.Bool("scratch", true, "reuse scratch arenas across runs (-scratch=false allocates per run)")
-	parIngest := flag.Bool("ingest", true, "chunked parallel graph ingest (-ingest=false uses the serial readers/build)")
 	tracePath := flag.String("trace", "", "JSONL trace journal to write (one sweep.task span per run)")
 	flag.Parse()
-	scratch.SetEnabled(*useScratch)
-	graph.SetSerialIngest(!*parIngest)
 
 	tracer, err := trace.OpenJournal(*tracePath)
 	if err != nil {

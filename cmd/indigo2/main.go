@@ -28,7 +28,6 @@ import (
 	"indigo/internal/gpusim"
 	"indigo/internal/graph"
 	"indigo/internal/runner"
-	"indigo/internal/scratch"
 	"indigo/internal/store"
 	"indigo/internal/styles"
 	"indigo/internal/sweep"
@@ -186,14 +185,10 @@ func cmdRun(args []string) error {
 	journal := fs.String("journal", "", "JSONL measurement journal to append to")
 	resume := fs.Bool("resume", false, "skip the run if the journal already records it")
 	storePath := fs.String("store", "", "results store file to append the measurement to")
-	useScratch := fs.Bool("scratch", true, "reuse scratch arenas across runs (-scratch=false allocates per run)")
-	parIngest := fs.Bool("ingest", true, "chunked parallel graph ingest (-ingest=false uses the serial readers/build)")
 	tracePath := fs.String("trace", "", "JSONL trace journal to write (spans of the run's phases)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	scratch.SetEnabled(*useScratch)
-	graph.SetSerialIngest(!*parIngest)
 	if *variant == "" {
 		return fmt.Errorf("missing -variant")
 	}
@@ -298,13 +293,9 @@ func cmdVerify(args []string) error {
 	modelName := fs.String("model", "", "restrict to one model")
 	scale := fs.String("scale", "tiny", "input scale")
 	threads := fs.Int("threads", 0, "CPU worker count (0 = all cores)")
-	useScratch := fs.Bool("scratch", true, "reuse scratch arenas across runs (-scratch=false allocates per run)")
-	parIngest := fs.Bool("ingest", true, "chunked parallel graph ingest (-ingest=false uses the serial readers/build)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	scratch.SetEnabled(*useScratch)
-	graph.SetSerialIngest(!*parIngest)
 	algos, models, err := parseFilters(*algoName, *modelName)
 	if err != nil {
 		return err

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"indigo/internal/gen"
-	"indigo/internal/graph"
 	"indigo/internal/serve"
 	"indigo/internal/store"
 	"indigo/internal/trace"
@@ -36,14 +35,12 @@ func cmdServe(args []string) error {
 	budget := fs.Int64("budget", 0, "per-request compute memory budget in bytes (0 = unlimited)")
 	drain := fs.Duration("drain", 15*time.Second, "graceful-shutdown budget for in-flight requests")
 	cacheEntries := fs.Int("cache", 256, "response cache entries (negative disables caching)")
-	parIngest := fs.Bool("ingest", true, "chunked parallel parse of uploaded graphs (-ingest=false uses the serial readers)")
 	traceOn := fs.Bool("trace", false, "per-request tracing: X-Trace-Id on every /v1 response, spans via GET /v1/trace/{id}")
 	traceRetain := fs.Int("trace-retain", 256, "traces kept in memory for /v1/trace lookups (with -trace)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (refused while draining)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	graph.SetSerialIngest(!*parIngest)
 
 	var st *store.Store
 	if *storePath == "" {

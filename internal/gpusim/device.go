@@ -118,9 +118,6 @@ type Device struct {
 	// spans under (kernel name, blocks, cycles). Installed alongside the
 	// guard by runner.RunGPU; the zero value disables launch tracing.
 	tc trace.Ctx
-	// legacy, when non-nil, routes launches through the shared-atomic
-	// baseline (cmd/bench -gpusim measures the sharded model against it).
-	legacy *legacyState
 }
 
 // SetGuard installs (or, with nil, removes) the guard token subsequent
@@ -157,10 +154,6 @@ func New(p Profile) *Device {
 // weigh CudaAtomicFactor because their seq_cst system-scope RMWs hold
 // the L2 atomic unit far longer).
 func (w *Warp) atomHit(addr uint64, weight int64) {
-	if w.lt != nil {
-		w.lt.atomHit(addr, weight)
-		return
-	}
 	h := addr * 0x9e3779b97f4a7c15 >> 52 // top 12 bits
 	d := w.d
 	if d.atom[h] == 0 {
@@ -192,10 +185,6 @@ func (d *Device) drainAtomics() int64 {
 // timings do not leak across experiments). Tag shards that are already
 // empty are skipped.
 func (d *Device) FlushL2() {
-	if d.legacy != nil {
-		d.legacy.flush()
-		return
-	}
 	for i := range d.shards {
 		if v := &d.shards[i].view; v.dirty {
 			v.invalidate()
@@ -297,8 +286,8 @@ func (d *Device) UploadI64(src []int64) *I64 {
 	return a
 }
 
-// F32 is a device array of float32, stored as bits so all accesses can
-// be atomic.
+// F32 is a device array of float32, stored as bits (the raw word the
+// simulated float atomics operate on).
 type F32 struct {
 	base uint64
 	data []uint32

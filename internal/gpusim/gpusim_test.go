@@ -3,7 +3,6 @@ package gpusim
 import (
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func testDevice() *Device { return New(RTXSim()) }
@@ -342,27 +341,6 @@ func TestGridSize(t *testing.T) {
 		if got := GridSize(c.n, c.per); got != c.want {
 			t.Errorf("GridSize(%d,%d) = %d, want %d", c.n, c.per, got, c.want)
 		}
-	}
-}
-
-func TestQuickCASHelpers(t *testing.T) {
-	f := func(vals []int32) bool {
-		var lo, hi int32 = 1<<31 - 1, -(1 << 31)
-		var alo, ahi int32 = lo, hi
-		for _, v := range vals {
-			casMinI32(&alo, v)
-			casMaxI32(&ahi, v)
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		return alo == lo && ahi == hi
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -75,8 +75,7 @@ type launchScratch struct {
 }
 
 // Launch executes the kernel over the grid and returns its simulated
-// cost. Execution is functional: all global-memory operations use host
-// atomics, so results are exact. The cost model is sharded per SM with
+// cost. Execution is functional, so results are exact. The cost model is sharded per SM with
 // the deterministic block→SM mapping bi % SMs and merged in fixed shard
 // order at launch end, so Stats are bit-identical across GOMAXPROCS
 // settings and repeated runs.
@@ -93,9 +92,6 @@ func (d *Device) Launch(cfg LaunchCfg, k Kernel) Stats {
 	}
 	if cfg.Blocks <= 0 {
 		panic(fmt.Sprintf("gpusim.Launch: bad grid size %d", cfg.Blocks))
-	}
-	if d.legacy != nil {
-		return d.launchLegacy(cfg, k)
 	}
 	sp := d.tc.Start("gpu.launch")
 	defer func() { sp.End() }()
@@ -114,8 +110,7 @@ func (d *Device) Launch(cfg LaunchCfg, k Kernel) Stats {
 	// instruction counts — depend on host scheduling. The fast path's
 	// speed comes from the contention-free cost model (plain increments,
 	// O(footprint) merges, zero warmed-launch allocations), not from
-	// host fan-out; the legacy baseline keeps the old multi-worker
-	// behavior for comparison.
+	// host fan-out.
 	d.launchWorker()
 	ls.kern = nil
 
@@ -452,7 +447,6 @@ type block struct {
 	d  *Device
 	sh *shard
 
-	mu        sync.Mutex
 	shared    []sharedSlab
 	sharedGen uint64
 	// sharedAtomicsN counts the block's shared-memory atomic operations;
@@ -475,10 +469,6 @@ type block struct {
 	syncMax  int64
 	syncSeq  int64
 	aborted  bool
-
-	// legacyBar is set only on the shared-atomic baseline path, which
-	// allocates a fresh block (and cond-based barrier) per block.
-	legacyBar *condBarrier
 }
 
 // begin recycles the block context for the next block: shared slabs

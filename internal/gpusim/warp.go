@@ -1,21 +1,16 @@
 package gpusim
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
 // Warp is the execution context handed to kernels: one 32-lane warp,
 // with its position in the block and grid, its cycle counter, and the
-// device operation set. All global-memory operations are performed with
-// host atomics, so the functional results are exact even for kernels
-// that intentionally race.
+// device operation set.
 //
-// Cost accounting is contention-free: warps execute one at a time (the
-// sequential block path runs them straight through; barrier blocks
-// interleave them at Sync points as coroutines), so every charge is
-// a plain operation against the owning shard and simulated Stats never
-// depend on host interleaving.
+// Warps execute one at a time (the sequential block path runs them
+// straight through; barrier blocks interleave them at Sync points as
+// coroutines), so every memory operation and every cost charge is a
+// plain operation, and simulated results never depend on host
+// interleaving.
 type Warp struct {
 	d           *Device
 	blk         *block
@@ -42,9 +37,6 @@ type Warp struct {
 
 	// view is the L2 tag view this warp charges (its shard's).
 	view *tagView
-	// lt routes cost accounting through the shared-atomic baseline
-	// (bench comparisons only; see legacy.go).
-	lt *legacyState
 }
 
 // reset recycles the warp for the next block.
@@ -99,10 +91,6 @@ func (w *Warp) Op(n int64) {
 // addr against the warp's tag view.
 func (w *Warp) access(addr uint64) {
 	w.stats.Transactions++
-	if w.lt != nil {
-		w.chargeLegacy(w.lt.access(addr, w.d))
-		return
-	}
 	if w.view.probe(addr / segBytes) {
 		w.cycles += w.d.Prof.L2HitCost
 		w.stats.L2Hits++
@@ -112,41 +100,24 @@ func (w *Warp) access(addr uint64) {
 	}
 }
 
-// chargeLegacy classifies a baseline access cost (legacy path only).
-func (w *Warp) chargeLegacy(cost int64) {
-	w.cycles += cost
-	if cost >= w.d.Prof.DRAMCost {
-		w.stats.L2Misses++
-	} else {
-		w.stats.L2Hits++
-	}
-}
-
 // --- Scalar (single-lane, uncoalesced) global memory operations. ---
 //
-// The sharded path is completely serialized (shards run in order on the
+// Execution is completely serialized (shards run in order on the
 // launching goroutine, and a barrier block's warps take turns as
-// coroutines), so functional reads-modify-writes and stores are plain —
-// a locked CAS loop per simulated atomicAdd was the single largest cost
-// in the reduction-style kernels. The legacy baseline really does run
-// warps and blocks concurrently and keeps the host-atomic versions
-// (selected by w.lt, which is only set on that path).
+// coroutines), so functional loads, stores and read-modify-writes are
+// plain memory operations.
 
 // LdI32 loads a[i] as one lane's uncoalesced access: a full transaction.
 func (w *Warp) LdI32(a *I32, i int64) int32 {
 	w.Op(1)
 	w.access(a.addr(i))
-	return atomic.LoadInt32(&a.data[i])
+	return a.data[i]
 }
 
 // StI32 stores a[i] = v as one lane's uncoalesced access.
 func (w *Warp) StI32(a *I32, i int64, v int32) {
 	w.Op(1)
 	w.access(a.addr(i))
-	if w.lt != nil {
-		atomic.StoreInt32(&a.data[i], v)
-		return
-	}
 	a.data[i] = v
 }
 
@@ -154,17 +125,13 @@ func (w *Warp) StI32(a *I32, i int64, v int32) {
 func (w *Warp) LdI64(a *I64, i int64) int64 {
 	w.Op(1)
 	w.access(a.addr(i))
-	return atomic.LoadInt64(&a.data[i])
+	return a.data[i]
 }
 
 // StI64 stores a[i] = v (uncoalesced).
 func (w *Warp) StI64(a *I64, i int64, v int64) {
 	w.Op(1)
 	w.access(a.addr(i))
-	if w.lt != nil {
-		atomic.StoreInt64(&a.data[i], v)
-		return
-	}
 	a.data[i] = v
 }
 
@@ -172,17 +139,13 @@ func (w *Warp) StI64(a *I64, i int64, v int64) {
 func (w *Warp) LdF32(a *F32, i int64) float32 {
 	w.Op(1)
 	w.access(a.addr(i))
-	return math.Float32frombits(atomic.LoadUint32(&a.data[i]))
+	return math.Float32frombits(a.data[i])
 }
 
 // StF32 stores a[i] = v (uncoalesced).
 func (w *Warp) StF32(a *F32, i int64, v float32) {
 	w.Op(1)
 	w.access(a.addr(i))
-	if w.lt != nil {
-		atomic.StoreUint32(&a.data[i], math.Float32bits(v))
-		return
-	}
 	a.data[i] = math.Float32bits(v)
 }
 
@@ -197,14 +160,6 @@ func (w *Warp) coalCharge(lo, hi uint64) {
 	w.Op(1)
 	n := transactions(lo, hi)
 	if n == 0 {
-		return
-	}
-	if w.lt != nil {
-		// Baseline: per-segment shared-atomic accesses, as before.
-		for seg := lo / segBytes; seg <= (hi-1)/segBytes; seg++ {
-			w.stats.Transactions++
-			w.chargeLegacy(w.lt.access(seg*segBytes, w.d))
-		}
 		return
 	}
 	var hits int64
@@ -229,9 +184,7 @@ func (w *Warp) CoalLdI32(a *I32, base int64, count int) [WarpSize]int32 {
 		return out
 	}
 	w.coalCharge(a.addr(base), a.addr(base+int64(count)))
-	for l := 0; l < count; l++ {
-		out[l] = atomic.LoadInt32(&a.data[base+int64(l)])
-	}
+	copy(out[:count], a.data[base:base+int64(count)])
 	return out
 }
 
@@ -241,12 +194,6 @@ func (w *Warp) CoalStI32(a *I32, base int64, count int, vals *[WarpSize]int32) {
 		return
 	}
 	w.coalCharge(a.addr(base), a.addr(base+int64(count)))
-	if w.lt != nil {
-		for l := 0; l < count; l++ {
-			atomic.StoreInt32(&a.data[base+int64(l)], vals[l])
-		}
-		return
-	}
 	copy(a.data[base:base+int64(count)], vals[:count])
 }
 
@@ -258,9 +205,7 @@ func (w *Warp) CoalLdI64(a *I64, base int64, count int) [WarpSize]int64 {
 		return out
 	}
 	w.coalCharge(a.addr(base), a.addr(base+int64(count)))
-	for l := 0; l < count; l++ {
-		out[l] = atomic.LoadInt64(&a.data[base+int64(l)])
-	}
+	copy(out[:count], a.data[base:base+int64(count)])
 	return out
 }
 
@@ -272,7 +217,7 @@ func (w *Warp) CoalLdF32(a *F32, base int64, count int) [WarpSize]float32 {
 	}
 	w.coalCharge(a.addr(base), a.addr(base+int64(count)))
 	for l := 0; l < count; l++ {
-		out[l] = math.Float32frombits(atomic.LoadUint32(&a.data[base+int64(l)]))
+		out[l] = math.Float32frombits(a.data[base+int64(l)])
 	}
 	return out
 }
@@ -283,12 +228,6 @@ func (w *Warp) CoalStF32(a *F32, base int64, count int, vals *[WarpSize]float32)
 		return
 	}
 	w.coalCharge(a.addr(base), a.addr(base+int64(count)))
-	if w.lt != nil {
-		for l := 0; l < count; l++ {
-			atomic.StoreUint32(&a.data[base+int64(l)], math.Float32bits(vals[l]))
-		}
-		return
-	}
 	for l := 0; l < count; l++ {
 		a.data[base+int64(l)] = math.Float32bits(vals[l])
 	}
@@ -297,13 +236,9 @@ func (w *Warp) CoalStF32(a *F32, base int64, count int, vals *[WarpSize]float32)
 // --- Classic atomics: device scope, relaxed ordering (§2.9). ---
 
 // rmwMinI32 / rmwMaxI32 / rmwAddI32 / rmwAddI64 / rmwAddF32 apply the
-// simulated RMW with the path-appropriate host memory order: plain on
-// the serialized sharded path, locked on the concurrent legacy one.
+// simulated RMW as plain host operations (execution is serialized).
 
-func (w *Warp) rmwMinI32(p *int32, v int32) int32 {
-	if w.lt != nil {
-		return casMinI32(p, v)
-	}
+func rmwMinI32(p *int32, v int32) int32 {
 	old := *p
 	if v < old {
 		*p = v
@@ -311,10 +246,7 @@ func (w *Warp) rmwMinI32(p *int32, v int32) int32 {
 	return old
 }
 
-func (w *Warp) rmwMaxI32(p *int32, v int32) int32 {
-	if w.lt != nil {
-		return casMaxI32(p, v)
-	}
+func rmwMaxI32(p *int32, v int32) int32 {
 	old := *p
 	if v > old {
 		*p = v
@@ -322,29 +254,19 @@ func (w *Warp) rmwMaxI32(p *int32, v int32) int32 {
 	return old
 }
 
-func (w *Warp) rmwAddI32(p *int32, v int32) int32 {
-	if w.lt != nil {
-		return atomic.AddInt32(p, v) - v
-	}
+func rmwAddI32(p *int32, v int32) int32 {
 	old := *p
 	*p = old + v
 	return old
 }
 
-func (w *Warp) rmwAddI64(p *int64, v int64) int64 {
-	if w.lt != nil {
-		return atomic.AddInt64(p, v) - v
-	}
+func rmwAddI64(p *int64, v int64) int64 {
 	old := *p
 	*p = old + v
 	return old
 }
 
-func (w *Warp) rmwAddF32(p *uint32, v float32) {
-	if w.lt != nil {
-		casAddF32(p, v)
-		return
-	}
+func rmwAddF32(p *uint32, v float32) {
 	*p = math.Float32bits(math.Float32frombits(*p) + v)
 }
 
@@ -359,35 +281,35 @@ func (w *Warp) atomCharge(addr uint64) {
 func (w *Warp) AtomicMinI32(a *I32, i int64, v int32) int32 {
 	w.atomCharge(a.addr(i))
 	w.access(a.addr(i))
-	return w.rmwMinI32(&a.data[i], v)
+	return rmwMinI32(&a.data[i], v)
 }
 
 // AtomicMaxI32 atomically raises a[i] to v and returns the old value.
 func (w *Warp) AtomicMaxI32(a *I32, i int64, v int32) int32 {
 	w.atomCharge(a.addr(i))
 	w.access(a.addr(i))
-	return w.rmwMaxI32(&a.data[i], v)
+	return rmwMaxI32(&a.data[i], v)
 }
 
 // AtomicAddI32 atomically adds v to a[i] and returns the old value.
 func (w *Warp) AtomicAddI32(a *I32, i int64, v int32) int32 {
 	w.atomCharge(a.addr(i))
 	w.access(a.addr(i))
-	return w.rmwAddI32(&a.data[i], v)
+	return rmwAddI32(&a.data[i], v)
 }
 
 // AtomicAddI64 atomically adds v to a[i] and returns the old value.
 func (w *Warp) AtomicAddI64(a *I64, i int64, v int64) int64 {
 	w.atomCharge(a.addr(i))
 	w.access(a.addr(i))
-	return w.rmwAddI64(&a.data[i], v)
+	return rmwAddI64(&a.data[i], v)
 }
 
 // AtomicAddF32 atomically adds v to a[i].
 func (w *Warp) AtomicAddF32(a *F32, i int64, v float32) {
 	w.atomCharge(a.addr(i))
 	w.access(a.addr(i))
-	w.rmwAddF32(&a.data[i], v)
+	rmwAddF32(&a.data[i], v)
 }
 
 // --- Default libcu++ CudaAtomics: system scope, seq_cst (§2.9). The
@@ -406,42 +328,42 @@ func (w *Warp) cudaAtomCharge(addr uint64) {
 func (w *Warp) CudaAtomicMinI32(a *I32, i int64, v int32) int32 {
 	w.cudaAtomCharge(a.addr(i))
 	w.access(a.addr(i))
-	return w.rmwMinI32(&a.data[i], v)
+	return rmwMinI32(&a.data[i], v)
 }
 
 // CudaAtomicMaxI32 is AtomicMaxI32 through a default cuda::atomic.
 func (w *Warp) CudaAtomicMaxI32(a *I32, i int64, v int32) int32 {
 	w.cudaAtomCharge(a.addr(i))
 	w.access(a.addr(i))
-	return w.rmwMaxI32(&a.data[i], v)
+	return rmwMaxI32(&a.data[i], v)
 }
 
 // CudaAtomicAddI32 is AtomicAddI32 through a default cuda::atomic.
 func (w *Warp) CudaAtomicAddI32(a *I32, i int64, v int32) int32 {
 	w.cudaAtomCharge(a.addr(i))
 	w.access(a.addr(i))
-	return w.rmwAddI32(&a.data[i], v)
+	return rmwAddI32(&a.data[i], v)
 }
 
 // CudaAtomicAddI64 is AtomicAddI64 through a default cuda::atomic.
 func (w *Warp) CudaAtomicAddI64(a *I64, i int64, v int64) int64 {
 	w.cudaAtomCharge(a.addr(i))
 	w.access(a.addr(i))
-	return w.rmwAddI64(&a.data[i], v)
+	return rmwAddI64(&a.data[i], v)
 }
 
 // CudaLdI32 is a cuda::atomic load() with default (seq_cst) ordering.
 func (w *Warp) CudaLdI32(a *I32, i int64) int32 {
 	w.cudaAtomCharge(a.addr(i))
 	w.access(a.addr(i))
-	return atomic.LoadInt32(&a.data[i])
+	return a.data[i]
 }
 
 // CudaStI32 is a cuda::atomic store() with default (seq_cst) ordering.
 func (w *Warp) CudaStI32(a *I32, i int64, v int32) {
 	w.cudaAtomCharge(a.addr(i))
 	w.access(a.addr(i))
-	atomic.StoreInt32(&a.data[i], v)
+	a.data[i] = v
 }
 
 // --- Warp primitives. ---
@@ -509,10 +431,6 @@ func (w *Warp) DivergentRanges(count int, beg, end *[WarpSize]int64, opsPerStep 
 // block atomic helpers.
 func (w *Warp) SharedI64(tag int, n int) []int64 {
 	b := w.blk
-	if w.lt != nil { // only the legacy baseline runs warps concurrently
-		b.mu.Lock()
-		defer b.mu.Unlock()
-	}
 	for len(b.shared) <= tag {
 		b.shared = append(b.shared, sharedSlab{})
 	}
@@ -538,10 +456,6 @@ func (w *Warp) SharedI64(tag int, n int) []int64 {
 // plain words) registered under tag.
 func (w *Warp) SharedU32(tag int, n int) []uint32 {
 	b := w.blk
-	if w.lt != nil { // only the legacy baseline runs warps concurrently
-		b.mu.Lock()
-		defer b.mu.Unlock()
-	}
 	for len(b.shared) <= tag {
 		b.shared = append(b.shared, sharedSlab{})
 	}
@@ -563,51 +477,28 @@ func (w *Warp) SharedU32(tag int, n int) []uint32 {
 	return s.u32
 }
 
-// addSharedAtomic counts one shared-memory atomic on the block. Only
-// the legacy baseline runs warps concurrently; the sharded paths are
-// serialized, so the count is plain there.
-func (w *Warp) addSharedAtomic() {
-	if w.lt != nil {
-		atomic.AddInt64(&w.blk.sharedAtomicsN, 1)
-	} else {
-		w.blk.sharedAtomicsN++
-	}
-}
-
 // BlockAtomicAddI64 is an atomicAdd_block on shared memory: block
 // scope, but an arbitrated RMW rather than a plain access (§2.10.1,
 // Listing 10b).
 func (w *Warp) BlockAtomicAddI64(s []int64, i int, v int64) int64 {
 	w.Op(1)
 	w.cycles += w.d.Prof.SharedAtomicCost
-	w.addSharedAtomic()
-	if w.lt != nil {
-		return atomic.AddInt64(&s[i], v) - v
-	}
-	old := s[i]
-	s[i] = old + v
-	return old
+	w.blk.sharedAtomicsN++
+	return rmwAddI64(&s[i], v)
 }
 
 // BlockAtomicAddF32 is an atomicAdd_block on shared float32 bits.
 func (w *Warp) BlockAtomicAddF32(s []uint32, i int, v float32) {
 	w.Op(1)
 	w.cycles += w.d.Prof.SharedAtomicCost
-	w.addSharedAtomic()
-	if w.lt != nil {
-		casAddF32(&s[i], v)
-		return
-	}
-	s[i] = math.Float32bits(math.Float32frombits(s[i]) + v)
+	w.blk.sharedAtomicsN++
+	rmwAddF32(&s[i], v)
 }
 
 // SharedLdI64 reads shared memory (cheap, on-chip).
 func (w *Warp) SharedLdI64(s []int64, i int) int64 {
 	w.Op(1)
 	w.cycles += w.d.Prof.SharedCost
-	if w.lt != nil {
-		return atomic.LoadInt64(&s[i])
-	}
 	return s[i]
 }
 
@@ -615,9 +506,6 @@ func (w *Warp) SharedLdI64(s []int64, i int) int64 {
 func (w *Warp) SharedLdF32(s []uint32, i int) float32 {
 	w.Op(1)
 	w.cycles += w.d.Prof.SharedCost
-	if w.lt != nil {
-		return math.Float32frombits(atomic.LoadUint32(&s[i]))
-	}
 	return math.Float32frombits(s[i])
 }
 
@@ -625,10 +513,6 @@ func (w *Warp) SharedLdF32(s []uint32, i int) float32 {
 func (w *Warp) StSharedF32(s []uint32, i int, v float32) {
 	w.Op(1)
 	w.cycles += w.d.Prof.SharedCost
-	if w.lt != nil {
-		atomic.StoreUint32(&s[i], math.Float32bits(v))
-		return
-	}
 	s[i] = math.Float32bits(v)
 }
 
@@ -636,10 +520,6 @@ func (w *Warp) StSharedF32(s []uint32, i int, v float32) {
 func (w *Warp) StSharedI64(s []int64, i int, v int64) {
 	w.Op(1)
 	w.cycles += w.d.Prof.SharedCost
-	if w.lt != nil {
-		atomic.StoreInt64(&s[i], v)
-		return
-	}
 	s[i] = v
 }
 
@@ -654,11 +534,6 @@ func (w *Warp) StSharedI64(s []int64, i int, v int64) {
 // round-trip.
 func (w *Warp) Sync() {
 	b := w.blk
-	if b.legacyBar != nil {
-		w.cycles += w.d.Prof.SyncCost
-		w.cycles = b.legacyBar.wait(w.cycles)
-		return
-	}
 	if b.teamN == 0 {
 		panic("gpusim: Sync called in a launch without NeedsBarrier")
 	}
@@ -697,35 +572,5 @@ func (w *Warp) park() {
 	d.coros[w.WarpInBlock].detached = false
 	if !ok {
 		panic(barrierAborted)
-	}
-}
-
-// --- CAS helpers over the raw storage. ---
-
-func casMinI32(p *int32, v int32) int32 {
-	for {
-		old := atomic.LoadInt32(p)
-		if old <= v || atomic.CompareAndSwapInt32(p, old, v) {
-			return old
-		}
-	}
-}
-
-func casMaxI32(p *int32, v int32) int32 {
-	for {
-		old := atomic.LoadInt32(p)
-		if old >= v || atomic.CompareAndSwapInt32(p, old, v) {
-			return old
-		}
-	}
-}
-
-func casAddF32(p *uint32, v float32) {
-	for {
-		old := atomic.LoadUint32(p)
-		nv := math.Float32bits(math.Float32frombits(old) + v)
-		if atomic.CompareAndSwapUint32(p, old, nv) {
-			return
-		}
 	}
 }

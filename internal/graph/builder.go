@@ -83,7 +83,7 @@ func (b *Builder) Build() *Graph { return b.BuildOpts(BuildOptions{}) }
 func (b *Builder) BuildOpts(o BuildOptions) *Graph {
 	sp := o.Trace.Start("ingest.build")
 	defer sp.End()
-	if o.Serial || serialIngest.Load() || len(b.src) < buildSerialCutoff {
+	if o.Serial || len(b.src) < buildSerialCutoff {
 		return b.buildSerial()
 	}
 	t := o.Threads

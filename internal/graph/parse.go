@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sync/atomic"
 	"unicode"
 	"unicode/utf8"
 
@@ -46,20 +45,6 @@ type ReadOptions struct {
 	chunkBytes int
 }
 
-// serialIngest is the process-wide escape hatch (-ingest=serial on the
-// CLIs): when set, Read*, Build, and Stats all take their serial
-// reference paths. The parallel paths are bit-identical by test, so
-// this is a diagnostic switch, not a correctness one.
-var serialIngest atomic.Bool
-
-// SetSerialIngest forces every ingest entry point (readers, builder,
-// stats) onto its serial reference path. Used by the CLIs' -ingest
-// flag to isolate the parallel pipeline when debugging.
-func SetSerialIngest(on bool) { serialIngest.Store(on) }
-
-// SerialIngest reports whether the serial escape hatch is set.
-func SerialIngest() bool { return serialIngest.Load() }
-
 const (
 	// maxLineBytes mirrors the serial readers' scanner buffer: a line
 	// this long or longer is a bufio.ErrTooLong, byte-identical to the
@@ -88,7 +73,7 @@ func ReadEdgeListOpts(r io.Reader, name string, o ReadOptions) (*Graph, error) {
 	sp := startIngest(o.Trace, "ingest.read_edgelist", name)
 	defer sp.End()
 	o.Trace = sp
-	if o.Serial || serialIngest.Load() {
+	if o.Serial {
 		return readEdgeListSerial(r, name)
 	}
 	data, err := io.ReadAll(r)
@@ -114,7 +99,7 @@ func ReadEdgeListBytes(data []byte, name string, o ReadOptions) (*Graph, error) 
 // readEdgeListDispatch picks the serial or parallel edge-list path;
 // o.Trace is already the enclosing read span.
 func readEdgeListDispatch(data []byte, name string, o ReadOptions) (*Graph, error) {
-	if o.Serial || serialIngest.Load() ||
+	if o.Serial ||
 		(o.chunkBytes == 0 && len(data) < parallelReadCutoff) {
 		return readEdgeListSerial(bytes.NewReader(data), name)
 	}
@@ -126,7 +111,7 @@ func ReadDIMACSOpts(r io.Reader, name string, o ReadOptions) (*Graph, error) {
 	sp := startIngest(o.Trace, "ingest.read_dimacs", name)
 	defer sp.End()
 	o.Trace = sp
-	if o.Serial || serialIngest.Load() {
+	if o.Serial {
 		return readDIMACSSerial(r, name)
 	}
 	data, err := io.ReadAll(r)
@@ -148,7 +133,7 @@ func ReadDIMACSBytes(data []byte, name string, o ReadOptions) (*Graph, error) {
 // readDIMACSDispatch picks the serial or parallel DIMACS path; o.Trace
 // is already the enclosing read span.
 func readDIMACSDispatch(data []byte, name string, o ReadOptions) (*Graph, error) {
-	if o.Serial || serialIngest.Load() ||
+	if o.Serial ||
 		(o.chunkBytes == 0 && len(data) < parallelReadCutoff) {
 		return readDIMACSSerial(bytes.NewReader(data), name)
 	}

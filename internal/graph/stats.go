@@ -87,7 +87,7 @@ func ComputeStats(g *Graph) Stats {
 func ComputeStatsOpts(g *Graph, o StatsOptions) Stats {
 	sp := startIngest(o.Trace, "ingest.stats", g.Name)
 	defer sp.End()
-	if o.Serial || serialIngest.Load() || int64(g.N)+g.M() < statsParCutoff {
+	if o.Serial || int64(g.N)+g.M() < statsParCutoff {
 		return computeStatsSerial(g, o.Guard)
 	}
 	t := o.Threads

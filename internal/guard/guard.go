@@ -25,6 +25,7 @@ package guard
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,6 +94,11 @@ type Token struct {
 	mu      sync.Mutex
 	timer   *time.Timer
 	unbinds []func() bool // BindContext detachers, run by Release
+	// children are the tokens Propagate coupled to this one: a winning
+	// trip fans out to them under mu. parents is the reverse edge, so
+	// Release can unregister. Locks are always taken parent→child.
+	children []*Token
+	parents  []*Token
 }
 
 // New returns a running token with no deadline and no budget.
@@ -133,9 +139,17 @@ func (t *Token) WithBudget(bytes int64) *Token {
 }
 
 // trip stops the token with reason r. The first trip wins; later trips
-// (a deadline firing after a cancel, say) are ignored.
+// (a deadline firing after a cancel, say) are ignored. The winner trips
+// every Propagate child before returning.
 func (t *Token) trip(r Reason) {
-	t.state.CompareAndSwap(uint32(running), uint32(r))
+	if !t.state.CompareAndSwap(uint32(running), uint32(r)) {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, c := range t.children {
+		c.trip(r)
+	}
 }
 
 // Cancel stops the token with ErrCanceled. Idempotent; safe from any
@@ -235,42 +249,54 @@ func (t *Token) BindContext(ctx context.Context) func() {
 	return func() { stop() }
 }
 
-// Propagate couples inner to outer: when outer trips, inner is canceled
-// too (with outer's reason where it maps onto a trip: deadline stays
-// DeadlineExceeded, everything else cancels). The coupling is a polling
-// watcher, so propagation lands within a few milliseconds — the latency
-// that matters for a tuner whose session deadline must stop the trial
-// in flight, not after it. The returned stop function detaches the
-// watcher; callers must invoke it when the inner run completes, or the
-// watcher lingers until one of the tokens resolves it. A nil outer or
-// inner is a no-op.
+// Propagate couples inner to outer: when outer trips, inner trips too,
+// with outer's reason. The coupling is a registration on outer, so it is
+// synchronous: inner has stopped by the time the call that trips outer
+// (Cancel, the deadline timer, an overdrawing Charge) returns, and if
+// outer has already tripped, inner trips at once. The returned stop
+// function detaches the coupling, also synchronously: once it has
+// returned, outer can no longer trip inner. Releasing inner detaches it
+// as well. Couplings must not form a cycle. A nil outer or inner is a
+// no-op.
 func Propagate(outer, inner *Token) (stop func()) {
 	if outer == nil || inner == nil {
 		return func() {}
 	}
-	done := make(chan struct{})
-	go func() {
-		tick := time.NewTicker(2 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				if s := Reason(outer.state.Load()); s != running {
-					inner.trip(s)
-					return
-				}
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
+	outer.mu.Lock()
+	defer outer.mu.Unlock()
+	if s := Reason(outer.state.Load()); s != running {
+		inner.trip(s)
+		return func() {}
+	}
+	outer.children = append(outer.children, inner)
+	inner.mu.Lock()
+	inner.parents = append(inner.parents, outer)
+	inner.mu.Unlock()
+	return func() { outer.detach(inner) }
+}
+
+// detach unregisters child from t's fan-out. Idempotent.
+func (t *Token) detach(child *Token) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.children = removeToken(t.children, child)
+	child.mu.Lock()
+	child.parents = removeToken(child.parents, t)
+	child.mu.Unlock()
+}
+
+// removeToken deletes the first occurrence of x from ts.
+func removeToken(ts []*Token, x *Token) []*Token {
+	if i := slices.Index(ts, x); i >= 0 {
+		return slices.Delete(ts, i, i+1)
+	}
+	return ts
 }
 
 // Release ends the token's background machinery: the deadline timer is
-// stopped and every BindContext coupling is detached. The token's state
-// is left as-is (a stopped token stays stopped). Idempotent.
+// stopped, every BindContext coupling is detached, and the token is
+// unregistered from every Propagate parent. The token's state is left
+// as-is (a stopped token stays stopped). Idempotent.
 func (t *Token) Release() {
 	if t == nil {
 		return
@@ -284,7 +310,14 @@ func (t *Token) Release() {
 		stop()
 	}
 	t.unbinds = nil
+	parents := t.parents
+	t.parents = nil
 	t.mu.Unlock()
+	// Detach outside t.mu: each parent's lock must be taken before its
+	// child's.
+	for _, p := range parents {
+		p.detach(t)
+	}
 }
 
 // Recover, deferred at a runner boundary, converts an abort panic into

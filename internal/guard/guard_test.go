@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"indigo/internal/testutil"
 )
 
 func TestNilTokenIsInert(t *testing.T) {
@@ -303,5 +305,43 @@ func TestPropagateDoesNotCoupleInnerToOuter(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if outer.Stopped() {
 		t.Fatal("inner trip leaked upward to outer")
+	}
+}
+
+// TestPropagateIsSynchronous: the coupling is a registration, not a
+// watcher — inner has stopped by the time outer's Cancel returns, a
+// detached inner is never tripped, and no goroutine outlives the test.
+func TestPropagateIsSynchronous(t *testing.T) {
+	defer testutil.Snapshot(t).Check(t)
+	outer := New()
+	defer outer.Release()
+	inners := make([]*Token, 8)
+	for i := range inners {
+		inners[i] = New()
+		defer inners[i].Release()
+		stop := Propagate(outer, inners[i])
+		if i%2 == 1 {
+			stop()
+		}
+	}
+	released := New()
+	Propagate(outer, released)
+	released.Release()
+
+	outer.Cancel()
+	for i, inner := range inners {
+		if got, want := inner.Stopped(), i%2 == 0; got != want {
+			t.Fatalf("inner %d Stopped = %v right after outer.Cancel, want %v", i, got, want)
+		}
+	}
+	if released.Stopped() {
+		t.Fatal("released inner still tripped by outer")
+	}
+
+	late := New()
+	defer late.Release()
+	Propagate(outer, late)()
+	if !errors.Is(late.Err(), ErrCanceled) {
+		t.Fatalf("coupling to a tripped outer: Err = %v, want ErrCanceled", late.Err())
 	}
 }

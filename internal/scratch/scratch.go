@@ -27,8 +27,7 @@
 //     run.
 //
 // A nil *Arena is valid everywhere and falls back to plain allocation,
-// so the public API stays drop-in; SetEnabled(false) forces that
-// fallback globally (the -scratch=off escape hatch).
+// so the public API stays drop-in.
 package scratch
 
 import (
@@ -41,20 +40,6 @@ import (
 	"indigo/internal/guard"
 	"indigo/internal/par"
 )
-
-// enabled gates arena use globally. When off, Acquire returns nil and
-// every checkout helper allocates as if no arena were present, giving a
-// one-flag escape hatch if slab reuse is ever suspected of masking or
-// causing a bug.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled toggles arena use process-wide (the -scratch flag).
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether arena use is on.
-func Enabled() bool { return enabled.Load() }
 
 // sizeClass rounds a requested length up to its slab size class so that
 // near-miss requests (n vs n+64) reuse the same slab.
@@ -159,10 +144,10 @@ func (a *Arena) live(op string) {
 	}
 }
 
-// Slice checks out a cleared []T of length n. A nil arena (or disabled
-// package) allocates plainly, preserving allocate-per-run behavior.
+// Slice checks out a cleared []T of length n. A nil arena allocates
+// plainly, preserving allocate-per-run behavior.
 func Slice[T any](a *Arena, n int) []T {
-	if a == nil || !enabled.Load() {
+	if a == nil {
 		return make([]T, n)
 	}
 	a.live("checkout")
@@ -182,7 +167,7 @@ func Slice[T any](a *Arena, n int) []T {
 // run-varying fields at the start of every run. A nil arena returns a
 // fresh zeroed *T, reproducing build-per-run behavior.
 func Of[T any](a *Arena) *T {
-	if a == nil || !enabled.Load() {
+	if a == nil {
 		return new(T)
 	}
 	a.live("checkout")
@@ -215,7 +200,7 @@ func (a *Arena) Bool(n int) []bool { return Slice[bool](a, n) }
 // marks persist, which is what lets repeat runs skip their growth
 // rounds). A nil arena builds a fresh worklist.
 func (a *Arena) Worklist(capacity int64, t int) *par.Worklist {
-	if a == nil || !enabled.Load() {
+	if a == nil {
 		return par.NewWorklistTID(capacity, t)
 	}
 	a.live("checkout")
@@ -280,12 +265,8 @@ var arenaCache struct {
 	free []*Arena
 }
 
-// Acquire returns a reset arena from the free list (or a fresh one), or
-// nil when arenas are disabled — callers treat nil as "run without".
+// Acquire returns a reset arena from the free list (or a fresh one).
 func Acquire() *Arena {
-	if !enabled.Load() {
-		return nil
-	}
 	arenaCache.Lock()
 	if n := len(arenaCache.free); n > 0 {
 		a := arenaCache.free[n-1]

@@ -169,21 +169,6 @@ func TestAcquireReleaseKeepsSlabsWarm(t *testing.T) {
 	Release(b)
 }
 
-func TestDisabledPackageBypassesArena(t *testing.T) {
-	defer SetEnabled(true)
-	SetEnabled(false)
-	if Acquire() != nil {
-		t.Fatalf("Acquire must return nil when disabled")
-	}
-	a := New()
-	s1 := a.Int32(64)
-	a.Reset() // resets nothing checked out through the arena
-	s2 := a.Int32(64)
-	if &s1[0] == &s2[0] {
-		t.Fatalf("disabled package must allocate plainly, not reuse")
-	}
-}
-
 func TestStableCheckoutSequenceDoesNotAllocate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting in -short")

@@ -83,16 +83,14 @@ func TestProbeClassifiesFailures(t *testing.T) {
 // TestProbeHonorsOuterGuard: tripping Options.Outer stops the probe in
 // flight through the propagated per-run token.
 func TestProbeHonorsOuterGuard(t *testing.T) {
-	defer par.SetChaos(nil)
 	g := testGraph()
 	outer := guard.New()
 	defer outer.Release()
 	p := NewProber(algo.Options{Threads: 2}, Options{Timeout: 5 * time.Second, Outer: outer})
 	defer p.Close()
 
-	// Slow every region entry so the run comfortably outlasts the
-	// 2ms propagation tick, then trip the session before probing.
-	par.SetChaos(&par.Chaos{Delay: 5 * time.Millisecond})
+	// Trip the session before probing: the per-run token is coupled
+	// synchronously, so the run is stopped before its first region.
 	outer.Cancel()
 	o := p.Probe(g, rmwVariant(t), DeviceCPU)
 	if o.Kind == OK {

@@ -3,7 +3,7 @@
 // sweep, and par tests snapshot the goroutine set before the scenario
 // and assert afterwards that nothing the scenario started is still
 // running — a pool worker surviving a timeout, a coalescing waiter stuck
-// on a dead flight, a Propagate watcher nobody detached.
+// on a dead flight.
 package testutil
 
 import (
