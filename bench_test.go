@@ -21,6 +21,7 @@ import (
 	"indigo/internal/par"
 	"indigo/internal/runner"
 	"indigo/internal/stats"
+	"indigo/internal/store"
 	"indigo/internal/styles"
 )
 
@@ -85,8 +86,8 @@ func BenchmarkFig01AtomicVsCudaAtomic(b *testing.B) {
 		r = s.Fig1()
 	}
 	for _, dev := range []string{"rtx-sim", "titan-sim"} {
-		ratios := s.RatiosByAlgo("atomics", int(styles.ClassicAtomic), int(styles.CudaAtomic),
-			func(m harness.Meas) bool { return m.Device == dev && m.Cfg.Algo == styles.SSSP })
+		ratios := s.Results().Ratios(styles.DimByKey("atomics"), int(styles.ClassicAtomic), int(styles.CudaAtomic),
+			func(c store.Cell) bool { return c.Device == dev && c.Cfg.Algo == styles.SSSP })
 		reportMedian(b, dev, ratios)
 	}
 	b.Logf("\n%s", r)
@@ -98,10 +99,8 @@ func BenchmarkFig02VertexVsEdge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r = s.Fig2()
 	}
-	ratios := s.RatiosByAlgo("iterate", int(styles.VertexBased), int(styles.EdgeBased),
-		func(m harness.Meas) bool {
-			return m.Cfg.Model == styles.CUDA && m.Cfg.Atomics == styles.ClassicAtomic
-		})
+	ratios := s.Results().Ratios(styles.DimByKey("iterate"), int(styles.VertexBased), int(styles.EdgeBased),
+		store.And(store.ByModel(styles.CUDA), store.ClassicOnly))
 	reportMedian(b, "cuda", ratios)
 	b.Logf("\n%s", r)
 }
@@ -130,10 +129,8 @@ func BenchmarkFig05PushVsPull(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r = s.Fig5()
 	}
-	ratios := s.RatiosByAlgo("flow", int(styles.Push), int(styles.Pull),
-		func(m harness.Meas) bool {
-			return m.Cfg.Model == styles.CUDA && m.Cfg.Atomics == styles.ClassicAtomic
-		})
+	ratios := s.Results().Ratios(styles.DimByKey("flow"), int(styles.Push), int(styles.Pull),
+		store.And(store.ByModel(styles.CUDA), store.ClassicOnly))
 	reportMedian(b, "cuda", ratios)
 	b.Logf("\n%s", r)
 }

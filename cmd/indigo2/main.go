@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"indigo/internal/algo"
 	"indigo/internal/emit"
@@ -238,16 +237,7 @@ func cmdRun(args []string) error {
 			if o.Kind != sweep.OK {
 				return
 			}
-			cell := store.Cell{
-				Cfg:       o.Cfg,
-				Input:     o.Input.String(),
-				Device:    o.Device,
-				Graph:     gstats,
-				Tput:      o.Tput,
-				Attempts:  o.Attempts,
-				ElapsedMS: float64(o.Elapsed) / float64(time.Millisecond),
-			}
-			if err := st.Append(cell); err != nil {
+			if err := st.Append(store.OutcomeCell(o, gstats)); err != nil {
 				fmt.Fprintf(os.Stderr, "indigo2: store append failed: %v\n", err)
 			}
 		}

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"path/filepath"
 	"testing"
 
+	"indigo/internal/store"
 	"indigo/internal/styles"
 )
 
@@ -54,5 +56,28 @@ func TestProfileByName(t *testing.T) {
 	}
 	if _, err := profileByName("gtx-1080"); err == nil {
 		t.Error("unknown profile accepted")
+	}
+}
+
+// TestRunStoreKeepsSimCounters: a simulated-GPU run appended with
+// -store carries the simulator's cost counters, like cells the harness
+// and the journal importer write.
+func TestRunStoreKeepsSimCounters(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.store")
+	if err := cmdRun([]string{"-variant", "bfs/cuda/vertex/topo/push/rw/nondet/thread/npers/atomic",
+		"-input", "road", "-scale", "tiny", "-store", path}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cells := st.Cells()
+	if len(cells) != 1 {
+		t.Fatalf("store holds %d cells, want 1", len(cells))
+	}
+	if c := cells[0]; c.SimCycles <= 0 || c.SimInstructions <= 0 || c.SimTransactions <= 0 {
+		t.Errorf("stored cell lost its simulator counters: %+v", c)
 	}
 }

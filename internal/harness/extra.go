@@ -6,6 +6,7 @@ import (
 	"indigo/internal/gpusim"
 	"indigo/internal/runner"
 	"indigo/internal/stats"
+	"indigo/internal/store"
 	"indigo/internal/styles"
 )
 
@@ -14,30 +15,27 @@ import (
 // algorithm and model over all inputs, and the overall worst case
 // ("the worst combinations of styles can cost 6 orders of magnitude").
 func (s *Session) Spread() *Report {
-	s.Collect(AllAlgorithms(), []styles.Model{styles.CUDA, styles.OMP, styles.CPP})
+	s.Collect(styles.PaperOrder(), []styles.Model{styles.CUDA, styles.OMP, styles.CPP})
 	r := &Report{ID: "spread", Title: "best/worst style spread per algorithm and model (§1)"}
 	r.Add("model\talgo\tmax spread (best tput / worst tput, worst input case)")
 	overall := 1.0
 	for _, model := range []styles.Model{styles.CUDA, styles.OMP, styles.CPP} {
-		for _, a := range AllAlgorithms() {
-			type key struct {
-				in  gen.Input
-				dev string
-			}
+		for _, a := range styles.PaperOrder() {
+			type key struct{ input, device string }
 			best := make(map[key]float64)
 			worst := make(map[key]float64)
-			for _, m := range s.Select(and(byModel(model), byAlgos(a))) {
-				k := key{m.Input, m.Device}
+			for _, c := range s.cells(store.And(store.ByModel(model), store.ByAlgo(a))) {
+				k := key{c.Input, c.Device}
 				// The negated form also drops NaN (a filtered non-measurement),
 				// which would otherwise pass a <= comparison.
-				if !(m.Tput > 0) {
+				if !(c.Tput > 0) {
 					continue
 				}
-				if b, ok := best[k]; !ok || m.Tput > b {
-					best[k] = m.Tput
+				if b, ok := best[k]; !ok || c.Tput > b {
+					best[k] = c.Tput
 				}
-				if w, ok := worst[k]; !ok || m.Tput < w {
-					worst[k] = m.Tput
+				if w, ok := worst[k]; !ok || c.Tput < w {
+					worst[k] = c.Tput
 				}
 			}
 			maxSpread := 0.0
@@ -71,16 +69,16 @@ func (s *Session) Ablation() *Report {
 	for _, factor := range []int64{1, 3, 10, 30, 100} {
 		prof := gpusim.RTXSim()
 		prof.CudaAtomicFactor = factor
-		var ms []Meas
+		st := store.NewMem()
 		for _, cfg := range styles.Enumerate(styles.SSSP, styles.CUDA) {
 			d := gpusim.New(prof)
 			_, tput, err := runner.TimeGPU(d, g, cfg, algo.Options{Threads: s.Opt.Threads})
 			if err != nil {
 				continue
 			}
-			ms = append(ms, Meas{cfg, gen.InputRMAT, prof.Name, tput})
+			st.Append(store.Cell{Cfg: cfg, Input: gen.InputRMAT.String(), Device: prof.Name, Tput: tput})
 		}
-		ratios := Ratios(ms, dim, int(styles.ClassicAtomic), int(styles.CudaAtomic))
+		ratios := st.Ratios(dim, int(styles.ClassicAtomic), int(styles.CudaAtomic), nil)
 		r.Add("factor=%-4d median atomic/cudaatomic = %s (n=%d)",
 			factor, ftoa(stats.Median(ratios[styles.SSSP])), len(ratios[styles.SSSP]))
 	}

@@ -5,34 +5,15 @@ import (
 
 	"indigo/internal/gen"
 	"indigo/internal/stats"
+	"indigo/internal/store"
 	"indigo/internal/styles"
 )
 
-// classicOnly excludes the default-CudaAtomic variants, as the paper
-// does for every result after §5.1 ("As the CudaAtomic codes are so
-// slow, we exclude them from the following subsections").
-func classicOnly(m Meas) bool { return m.Cfg.Atomics == styles.ClassicAtomic }
-
-// and combines filters.
-func and(fs ...func(Meas) bool) func(Meas) bool {
-	return func(m Meas) bool {
-		for _, f := range fs {
-			if f != nil && !f(m) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-func byModel(model styles.Model) func(Meas) bool {
-	return func(m Meas) bool { return m.Cfg.Model == model }
-}
-
-func byAlgos(algos ...styles.Algorithm) func(Meas) bool {
-	return func(m Meas) bool {
+// byAlgos selects cells of any of the given algorithms.
+func byAlgos(algos ...styles.Algorithm) store.Filter {
+	return func(c store.Cell) bool {
 		for _, a := range algos {
-			if m.Cfg.Algo == a {
+			if c.Cfg.Algo == a {
 				return true
 			}
 		}
@@ -40,25 +21,26 @@ func byAlgos(algos ...styles.Algorithm) func(Meas) bool {
 	}
 }
 
-func byDevice(name string) func(Meas) bool {
-	return func(m Meas) bool { return m.Device == name }
+func byDevice(name string) store.Filter {
+	return func(c store.Cell) bool { return c.Device == name }
 }
 
-// ratioSection appends one "algo: boxen" line per algorithm with data.
-func ratioSection(r *Report, label string, ratios map[styles.Algorithm][]float64) {
-	r.Add("%s:", label)
-	for _, a := range AllAlgorithms() {
-		if xs, ok := ratios[a]; ok && len(xs) > 0 {
-			r.Add("  %-4s %s", a.String(), stats.NewBoxen(xs).String())
+// cells returns the session's cells matching the filter, in row order.
+func (s *Session) cells(f store.Filter) []store.Cell {
+	var out []store.Cell
+	for _, c := range s.results.Cells() {
+		if f == nil || f(c) {
+			out = append(out, c)
 		}
 	}
+	return out
 }
 
-// RatiosByAlgo is the figure primitive: pairwise ratios of dimension
-// dim (value aIdx over bIdx) over the session's measurements matching
-// the filter.
-func (s *Session) RatiosByAlgo(dimKey string, aIdx, bIdx int, f func(Meas) bool) map[styles.Algorithm][]float64 {
-	return Ratios(s.Select(f), styles.DimByKey(dimKey), aIdx, bIdx)
+// ratioSection appends the label and one boxen line per algorithm with
+// data.
+func ratioSection(r *Report, label string, ratios map[styles.Algorithm][]float64) {
+	r.Add("%s:", label)
+	r.Lines = append(r.Lines, store.RatioLines(ratios)...)
 }
 
 // Fig1 regenerates Figure 1: throughput ratios of Atomic over
@@ -68,8 +50,8 @@ func (s *Session) Fig1() *Report {
 	s.Collect(algos, []styles.Model{styles.CUDA})
 	r := &Report{ID: "fig1", Title: "Atomic over CudaAtomic throughput ratios (per GPU)"}
 	for _, dev := range []string{"rtx-sim", "titan-sim"} {
-		ratios := s.RatiosByAlgo("atomics", int(styles.ClassicAtomic), int(styles.CudaAtomic),
-			and(byModel(styles.CUDA), byDevice(dev), byAlgos(algos...)))
+		ratios := s.results.Ratios(styles.DimByKey("atomics"), int(styles.ClassicAtomic), int(styles.CudaAtomic),
+			store.And(store.ByModel(styles.CUDA), byDevice(dev), byAlgos(algos...)))
 		ratioSection(r, dev, ratios)
 	}
 	return s.annotate(r)
@@ -78,18 +60,20 @@ func (s *Session) Fig1() *Report {
 // Fig2 regenerates Figure 2: vertex- over edge-based ratios for (a)
 // CUDA, (b) the CPU models, and (c) the thread-granularity TC subset.
 func (s *Session) Fig2() *Report {
-	algos := AllAlgorithms()
+	algos := styles.PaperOrder()
 	s.Collect(algos, []styles.Model{styles.CUDA, styles.OMP, styles.CPP})
 	r := &Report{ID: "fig2", Title: "vertex-based over edge-based throughput ratios"}
-	ratioSection(r, "CUDA", s.RatiosByAlgo("iterate", int(styles.VertexBased), int(styles.EdgeBased),
-		and(classicOnly, byModel(styles.CUDA))))
-	cpu := func(m Meas) bool { return m.Cfg.Model != styles.CUDA }
-	ratioSection(r, "OpenMP+C++", s.RatiosByAlgo("iterate", int(styles.VertexBased), int(styles.EdgeBased), cpu))
-	threadTC := func(m Meas) bool {
-		return m.Cfg.Model == styles.CUDA && m.Cfg.Algo == styles.TC &&
-			m.Cfg.Gran == styles.ThreadGran && classicOnly(m)
+	dim := styles.DimByKey("iterate")
+	vertex, edge := int(styles.VertexBased), int(styles.EdgeBased)
+	ratioSection(r, "CUDA", s.results.Ratios(dim, vertex, edge,
+		store.And(store.ClassicOnly, store.ByModel(styles.CUDA))))
+	cpu := func(c store.Cell) bool { return c.Cfg.Model != styles.CUDA }
+	ratioSection(r, "OpenMP+C++", s.results.Ratios(dim, vertex, edge, cpu))
+	threadTC := func(c store.Cell) bool {
+		return c.Cfg.Model == styles.CUDA && c.Cfg.Algo == styles.TC &&
+			c.Cfg.Gran == styles.ThreadGran && store.ClassicOnly(c)
 	}
-	ratioSection(r, "thread-gran TC (CUDA)", s.RatiosByAlgo("iterate", int(styles.VertexBased), int(styles.EdgeBased), threadTC))
+	ratioSection(r, "thread-gran TC (CUDA)", s.results.Ratios(dim, vertex, edge, threadTC))
 	return s.annotate(r)
 }
 
@@ -99,8 +83,8 @@ func (s *Session) driveFig(id, title string, dataIdx int, algos []styles.Algorit
 	s.Collect(algos, []styles.Model{styles.CUDA, styles.OMP, styles.CPP})
 	r := &Report{ID: id, Title: title}
 	for _, model := range []styles.Model{styles.CUDA, styles.OMP, styles.CPP} {
-		ratios := s.RatiosByAlgo("drive", int(styles.TopologyDriven), dataIdx,
-			and(classicOnly, byModel(model), byAlgos(algos...)))
+		ratios := s.results.Ratios(styles.DimByKey("drive"), int(styles.TopologyDriven), dataIdx,
+			store.And(store.ClassicOnly, store.ByModel(model), byAlgos(algos...)))
 		ratioSection(r, model.String(), ratios)
 	}
 	return s.annotate(r)
@@ -126,8 +110,8 @@ func (s *Session) Fig5() *Report {
 	s.Collect(algos, []styles.Model{styles.CUDA, styles.OMP, styles.CPP})
 	r := &Report{ID: "fig5", Title: "push over pull throughput ratios"}
 	for _, model := range []styles.Model{styles.CUDA, styles.OMP, styles.CPP} {
-		ratios := s.RatiosByAlgo("flow", int(styles.Push), int(styles.Pull),
-			and(classicOnly, byModel(model), byAlgos(algos...)))
+		ratios := s.results.Ratios(styles.DimByKey("flow"), int(styles.Push), int(styles.Pull),
+			store.And(store.ClassicOnly, store.ByModel(model), byAlgos(algos...)))
 		ratioSection(r, model.String(), ratios)
 	}
 	return s.annotate(r)
@@ -140,8 +124,8 @@ func (s *Session) Fig6() *Report {
 	s.Collect(algos, []styles.Model{styles.CUDA, styles.OMP, styles.CPP})
 	r := &Report{ID: "fig6", Title: "read-write over read-modify-write throughput ratios"}
 	for _, model := range []styles.Model{styles.CUDA, styles.OMP, styles.CPP} {
-		ratios := s.RatiosByAlgo("update", int(styles.ReadWrite), int(styles.ReadModifyWrite),
-			and(classicOnly, byModel(model), byAlgos(algos...)))
+		ratios := s.results.Ratios(styles.DimByKey("update"), int(styles.ReadWrite), int(styles.ReadModifyWrite),
+			store.And(store.ClassicOnly, store.ByModel(model), byAlgos(algos...)))
 		ratioSection(r, model.String(), ratios)
 	}
 	return s.annotate(r)
@@ -154,8 +138,8 @@ func (s *Session) Fig7() *Report {
 	s.Collect(algos, []styles.Model{styles.CUDA, styles.OMP, styles.CPP})
 	r := &Report{ID: "fig7", Title: "deterministic over non-deterministic throughput ratios"}
 	for _, model := range []styles.Model{styles.CUDA, styles.OMP, styles.CPP} {
-		ratios := s.RatiosByAlgo("det", int(styles.Deterministic), int(styles.NonDeterministic),
-			and(classicOnly, byModel(model), byAlgos(algos...)))
+		ratios := s.results.Ratios(styles.DimByKey("det"), int(styles.Deterministic), int(styles.NonDeterministic),
+			store.And(store.ClassicOnly, store.ByModel(model), byAlgos(algos...)))
 		ratioSection(r, model.String(), ratios)
 	}
 	return s.annotate(r)
@@ -163,35 +147,37 @@ func (s *Session) Fig7() *Report {
 
 // Fig8 regenerates Figure 8: persistent over non-persistent (CUDA).
 func (s *Session) Fig8() *Report {
-	s.Collect(AllAlgorithms(), []styles.Model{styles.CUDA})
+	s.Collect(styles.PaperOrder(), []styles.Model{styles.CUDA})
 	r := &Report{ID: "fig8", Title: "persistent over non-persistent throughput ratios (CUDA)"}
-	ratios := s.RatiosByAlgo("persist", int(styles.Persistent), int(styles.NonPersistent),
-		and(classicOnly, byModel(styles.CUDA)))
+	ratios := s.results.Ratios(styles.DimByKey("persist"), int(styles.Persistent), int(styles.NonPersistent),
+		store.And(store.ClassicOnly, store.ByModel(styles.CUDA)))
 	ratioSection(r, "CUDA", ratios)
 	return s.annotate(r)
 }
 
 // Fig12 regenerates Figure 12: default over dynamic scheduling (OMP).
 func (s *Session) Fig12() *Report {
-	s.Collect(AllAlgorithms(), []styles.Model{styles.OMP})
+	s.Collect(styles.PaperOrder(), []styles.Model{styles.OMP})
 	r := &Report{ID: "fig12", Title: "default over dynamic scheduling throughput ratios (OpenMP)"}
-	ratios := s.RatiosByAlgo("ompsched", int(styles.DefaultSched), int(styles.DynamicSched), byModel(styles.OMP))
+	ratios := s.results.Ratios(styles.DimByKey("ompsched"), int(styles.DefaultSched), int(styles.DynamicSched),
+		store.ByModel(styles.OMP))
 	ratioSection(r, "OMP", ratios)
 	return s.annotate(r)
 }
 
 // Fig13 regenerates Figure 13: blocked over cyclic scheduling (C++).
 func (s *Session) Fig13() *Report {
-	s.Collect(AllAlgorithms(), []styles.Model{styles.CPP})
+	s.Collect(styles.PaperOrder(), []styles.Model{styles.CPP})
 	r := &Report{ID: "fig13", Title: "blocked over cyclic scheduling throughput ratios (C++)"}
-	ratios := s.RatiosByAlgo("cppsched", int(styles.BlockedSched), int(styles.CyclicSched), byModel(styles.CPP))
+	ratios := s.results.Ratios(styles.DimByKey("cppsched"), int(styles.BlockedSched), int(styles.CyclicSched),
+		store.ByModel(styles.CPP))
 	ratioSection(r, "CPP", ratios)
 	return s.annotate(r)
 }
 
 // tputSection renders a three-way style's throughput medians per
-// algorithm.
-func tputSection(r *Report, label string, dim *styles.Dim, byAlgo map[styles.Algorithm]map[int][]float64, cfgFor func(int) string) {
+// algorithm, in the dimension's value order.
+func tputSection(r *Report, label string, dim *styles.Dim, byAlgo map[styles.Algorithm]map[string][]float64) {
 	r.Add("%s:", label)
 	algos := make([]styles.Algorithm, 0, len(byAlgo))
 	for a := range byAlgo {
@@ -200,8 +186,9 @@ func tputSection(r *Report, label string, dim *styles.Dim, byAlgo map[styles.Alg
 	sort.Slice(algos, func(i, j int) bool { return algos[i] < algos[j] })
 	for _, a := range algos {
 		for i := 0; i < dim.NumValues; i++ {
-			if xs := byAlgo[a][i]; len(xs) > 0 {
-				r.Add("  %-4s %-14s %s", a.String(), cfgFor(i), stats.NewBoxen(xs).String())
+			v := dim.Value(dim.Set(styles.Config{}, i))
+			if xs := byAlgo[a][v]; len(xs) > 0 {
+				r.Add("  %-4s %-14s %s", a.String(), v, stats.NewBoxen(xs).String())
 			}
 		}
 	}
@@ -210,13 +197,13 @@ func tputSection(r *Report, label string, dim *styles.Dim, byAlgo map[styles.Alg
 // Fig9 regenerates Figure 9: thread/warp/block throughputs (GE/s) on
 // the road map and social network inputs (RTX profile).
 func (s *Session) Fig9() *Report {
-	s.Collect(AllAlgorithms(), []styles.Model{styles.CUDA})
+	s.Collect(styles.PaperOrder(), []styles.Model{styles.CUDA})
 	r := &Report{ID: "fig9", Title: "thread/warp/block throughputs on road and social inputs (rtx-sim)"}
 	dim := styles.DimByKey("gran")
 	for _, in := range []gen.Input{gen.InputRoad, gen.InputSocial} {
-		ms := s.Select(and(classicOnly, byModel(styles.CUDA), byDevice("rtx-sim"),
-			func(m Meas) bool { return m.Input == in }))
-		tputSection(r, in.String(), dim, Throughputs(ms, dim), func(i int) string { return styles.Gran(i).String() })
+		cells := s.cells(store.And(store.ClassicOnly, store.ByModel(styles.CUDA), byDevice("rtx-sim"),
+			func(c store.Cell) bool { return c.Input == in.String() }))
+		tputSection(r, in.String(), dim, Throughputs(cells, dim))
 	}
 	return s.annotate(r)
 }
@@ -229,12 +216,12 @@ func (s *Session) Fig10() *Report {
 	s.Collect(algos, []styles.Model{styles.CUDA})
 	r := &Report{ID: "fig10", Title: "GPU reduction-style throughputs (TC, PR)"}
 	dim := styles.DimByKey("gpured")
-	ms := s.Select(and(classicOnly, byModel(styles.CUDA), byAlgos(algos...)))
-	tputSection(r, "CUDA (both GPUs)", dim, Throughputs(ms, dim), func(i int) string { return styles.GPURed(i).String() })
+	f := store.And(store.ClassicOnly, store.ByModel(styles.CUDA), byAlgos(algos...))
+	tputSection(r, "CUDA (both GPUs)", dim, Throughputs(s.cells(f), dim))
 	ratioSection(r, "reduction-add over global-add (pairwise)",
-		Ratios(ms, dim, int(styles.ReductionAdd), int(styles.GlobalAdd)))
+		s.results.Ratios(dim, int(styles.ReductionAdd), int(styles.GlobalAdd), f))
 	ratioSection(r, "reduction-add over block-add (pairwise)",
-		Ratios(ms, dim, int(styles.ReductionAdd), int(styles.BlockAdd)))
+		s.results.Ratios(dim, int(styles.ReductionAdd), int(styles.BlockAdd), f))
 	return s.annotate(r)
 }
 
@@ -245,11 +232,11 @@ func (s *Session) Fig11() *Report {
 	s.Collect(algos, []styles.Model{styles.OMP, styles.CPP})
 	r := &Report{ID: "fig11", Title: "CPU reduction-style throughputs (TC, PR)"}
 	dim := styles.DimByKey("cpured")
-	ms := s.Select(byAlgos(algos...))
-	tputSection(r, "OMP+CPP", dim, Throughputs(ms, dim), func(i int) string { return styles.CPURed(i).String() })
+	f := byAlgos(algos...)
+	tputSection(r, "OMP+CPP", dim, Throughputs(s.cells(f), dim))
 	ratioSection(r, "clause-red over critical-red (pairwise)",
-		Ratios(ms, dim, int(styles.ClauseRed), int(styles.CriticalRed)))
+		s.results.Ratios(dim, int(styles.ClauseRed), int(styles.CriticalRed), f))
 	ratioSection(r, "atomic-red over critical-red (pairwise)",
-		Ratios(ms, dim, int(styles.AtomicRed), int(styles.CriticalRed)))
+		s.results.Ratios(dim, int(styles.AtomicRed), int(styles.CriticalRed), f))
 	return s.annotate(r)
 }

@@ -7,8 +7,10 @@ import (
 	"indigo/internal/baseline"
 	"indigo/internal/gen"
 	"indigo/internal/gpusim"
+	"indigo/internal/graph"
 	"indigo/internal/runner"
 	"indigo/internal/stats"
+	"indigo/internal/store"
 	"indigo/internal/styles"
 )
 
@@ -38,20 +40,20 @@ func (s *Session) Table2() *Report {
 		{"blocked, cyclic", "cppsched", []int{0, 1}},
 	}
 	header := "style"
-	for _, a := range AllAlgorithms() {
+	for _, a := range styles.PaperOrder() {
 		header += "\t" + a.String()
 	}
 	r.Add("%s", header)
 	for _, row := range rows {
 		dim := styles.DimByKey(row.dim)
 		line := row.name
-		for _, a := range AllAlgorithms() {
+		for _, a := range styles.PaperOrder() {
 			marks := make([]string, 0, len(row.vals))
 			for _, v := range row.vals {
 				found := false
 				for _, m := range []styles.Model{styles.CUDA, styles.OMP, styles.CPP} {
 					for _, cfg := range styles.Enumerate(a, m) {
-						if dim.Applies(cfg) && valueIndex(dim, cfg) == v {
+						if dim.Applies(cfg) && dim.Set(cfg, v) == cfg {
 							found = true
 							break
 						}
@@ -78,7 +80,7 @@ func (s *Session) Table3() *Report {
 	r := &Report{ID: "table3", Title: "number of code versions (32-bit data type)"}
 	t := styles.CountTable()
 	header := "model"
-	for _, a := range AllAlgorithms() {
+	for _, a := range styles.PaperOrder() {
 		header += "\t" + a.String()
 	}
 	r.Add("%s\ttotal", header)
@@ -86,7 +88,7 @@ func (s *Session) Table3() *Report {
 	for m := styles.Model(0); m < styles.NumModels; m++ {
 		line := m.String()
 		total := 0
-		for _, a := range AllAlgorithms() {
+		for _, a := range styles.PaperOrder() {
 			line += "\t" + itoa(t[m][a])
 			total += t[m][a]
 		}
@@ -114,120 +116,60 @@ func (s *Session) Table45() *Report {
 // Correlation regenerates §5.13: Pearson correlation of throughput with
 // the input graph properties, over every collected measurement.
 func (s *Session) Correlation() *Report {
-	s.Collect(AllAlgorithms(), []styles.Model{styles.CUDA, styles.OMP, styles.CPP})
+	s.Collect(styles.PaperOrder(), []styles.Model{styles.CUDA, styles.OMP, styles.CPP})
 	r := &Report{ID: "correlation", Title: "throughput vs graph-property correlation (§5.13)"}
 	props := []struct {
 		name string
-		val  func(st stats0) float64
+		val  func(st graph.Stats) float64
 	}{
-		{"size-mb", func(st stats0) float64 { return st.SizeMB }},
-		{"avg-degree", func(st stats0) float64 { return st.AvgDegree }},
-		{"max-degree", func(st stats0) float64 { return float64(st.MaxDegree) }},
-		{"pct-deg>=32", func(st stats0) float64 { return st.PctDeg32 }},
-		{"pct-deg>=512", func(st stats0) float64 { return st.PctDeg512 }},
-		{"diameter", func(st stats0) float64 { return float64(st.Diameter) }},
+		{"size-mb", func(st graph.Stats) float64 { return st.SizeMB }},
+		{"avg-degree", func(st graph.Stats) float64 { return st.AvgDegree }},
+		{"max-degree", func(st graph.Stats) float64 { return float64(st.MaxDegree) }},
+		{"pct-deg>=32", func(st graph.Stats) float64 { return st.PctDeg32 }},
+		{"pct-deg>=512", func(st graph.Stats) float64 { return st.PctDeg512 }},
+		{"diameter", func(st graph.Stats) float64 { return float64(st.Diameter) }},
 	}
-	ms := s.Select(classicOnly)
+	cells := s.cells(store.ClassicOnly)
 	for _, p := range props {
 		var xs, ys []float64
-		for _, m := range ms {
-			xs = append(xs, p.val(s.GStats[m.Input]))
-			ys = append(ys, m.Tput)
+		for _, c := range cells {
+			xs = append(xs, p.val(c.Graph))
+			ys = append(ys, c.Tput)
 		}
 		r.Add("all codes vs %-13s r=%+.2f", p.name, stats.Pearson(xs, ys))
 	}
 	// The paper's strongest signal: warp-granularity throughput
 	// correlates with average degree.
 	var xs, ys []float64
-	for _, m := range ms {
-		if m.Cfg.Model == styles.CUDA && m.Cfg.Gran == styles.WarpGran {
-			xs = append(xs, s.GStats[m.Input].AvgDegree)
-			ys = append(ys, m.Tput)
+	for _, c := range cells {
+		if c.Cfg.Model == styles.CUDA && c.Cfg.Gran == styles.WarpGran {
+			xs = append(xs, c.Graph.AvgDegree)
+			ys = append(ys, c.Tput)
 		}
 	}
 	r.Add("warp-granularity vs avg-degree r=%+.2f", stats.Pearson(xs, ys))
 	return s.annotate(r)
 }
 
-type stats0 = graphStats
-
 // Fig14 regenerates Figure 14: the percentage of each style among the
 // best-performing code versions, per programming model.
 func (s *Session) Fig14() *Report {
-	s.Collect(AllAlgorithms(), []styles.Model{styles.CUDA, styles.OMP, styles.CPP})
+	s.Collect(styles.PaperOrder(), []styles.Model{styles.CUDA, styles.OMP, styles.CPP})
 	r := &Report{ID: "fig14", Title: "percentage of each style in best-performing codes"}
-	r.Add("model\tvertex%%\ttopo%%\tdup%%\tpush%%\trw%%\tnondet%%")
+	r.Add("%s", store.CensusHeader)
 	for _, model := range []styles.Model{styles.CUDA, styles.OMP, styles.CPP} {
-		best := s.bestConfigs(model)
-		var vertex, topo, dup, push, rw, nondet, data int
-		for _, cfg := range best {
-			if cfg.Iterate == styles.VertexBased {
-				vertex++
-			}
-			if cfg.Drive == styles.TopologyDriven {
-				topo++
-			} else {
-				data++
-				if cfg.Drive == styles.DataDrivenDup {
-					dup++
-				}
-			}
-			if cfg.Flow == styles.Push {
-				push++
-			}
-			if cfg.Update == styles.ReadWrite {
-				rw++
-			}
-			if cfg.Det == styles.NonDeterministic {
-				nondet++
-			}
+		if row, ok := s.results.Census(model); ok {
+			r.Add("%s", row.Line())
 		}
-		n := len(best)
-		if n == 0 {
-			continue
-		}
-		pct := func(x, of int) float64 {
-			if of == 0 {
-				return 0
-			}
-			return 100 * float64(x) / float64(of)
-		}
-		r.Add("%s\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f", model,
-			pct(vertex, n), pct(topo, n), pct(dup, data), pct(push, n), pct(rw, n), pct(nondet, n))
 	}
 	return s.annotate(r)
-}
-
-// bestConfigs returns the highest-throughput config per (algorithm,
-// input, device) for the model.
-func (s *Session) bestConfigs(model styles.Model) []styles.Config {
-	type key struct {
-		a   styles.Algorithm
-		in  gen.Input
-		dev string
-	}
-	best := make(map[key]Meas)
-	for _, m := range s.Select(and(byModel(model), classicOnly)) {
-		k := key{m.Cfg.Algo, m.Input, m.Device}
-		// Ties break to the smaller variant name so the census does not
-		// depend on measurement order (the store census matches).
-		if cur, ok := best[k]; !ok || m.Tput > cur.Tput ||
-			(m.Tput == cur.Tput && m.Cfg.Name() < cur.Cfg.Name()) {
-			best[k] = m
-		}
-	}
-	out := make([]styles.Config, 0, len(best))
-	for _, m := range best {
-		out = append(out, m.Cfg)
-	}
-	return out
 }
 
 // Fig15 regenerates Figure 15: the CUDA style-combination matrix — the
 // ratio of median throughputs of codes having style x with style y over
 // codes having x without y.
 func (s *Session) Fig15() *Report {
-	s.Collect(AllAlgorithms(), []styles.Model{styles.CUDA})
+	s.Collect(styles.PaperOrder(), []styles.Model{styles.CUDA})
 	r := &Report{ID: "fig15", Title: "CUDA style-combination median-ratio matrix (x=row with/without y=col)"}
 	type tag struct {
 		label   string
@@ -254,7 +196,7 @@ func (s *Session) Fig15() *Report {
 		{"npers", func(c styles.Config) bool { return c.Persist == styles.NonPersistent }, always},
 		{"pers", func(c styles.Config) bool { return c.Persist == styles.Persistent }, always},
 	}
-	ms := s.Select(and(byModel(styles.CUDA), classicOnly))
+	cells := s.cells(store.And(store.ByModel(styles.CUDA), store.ClassicOnly))
 	header := "x\\y"
 	for _, t := range tags {
 		header += "\t" + t.label
@@ -264,14 +206,14 @@ func (s *Session) Fig15() *Report {
 		line := x.label
 		for _, y := range tags {
 			var with, without []float64
-			for _, m := range ms {
-				if !x.has(m.Cfg) || !x.applies(m.Cfg) || !y.applies(m.Cfg) {
+			for _, c := range cells {
+				if !x.has(c.Cfg) || !x.applies(c.Cfg) || !y.applies(c.Cfg) {
 					continue
 				}
-				if y.has(m.Cfg) {
-					with = append(with, m.Tput)
+				if y.has(c.Cfg) {
+					with = append(with, c.Tput)
 				} else {
-					without = append(without, m.Tput)
+					without = append(without, c.Tput)
 				}
 			}
 			if len(with) == 0 || len(without) == 0 {
@@ -289,24 +231,25 @@ func (s *Session) Fig15() *Report {
 // best-performing style over the optimized baseline codes, per model
 // and algorithm, with per-algorithm geomeans.
 func (s *Session) Fig16() *Report {
-	s.Collect(AllAlgorithms(), []styles.Model{styles.CUDA, styles.OMP, styles.CPP})
+	s.Collect(styles.PaperOrder(), []styles.Model{styles.CUDA, styles.OMP, styles.CPP})
 	r := &Report{ID: "fig16", Title: "speedup of best-performing styles over optimized baselines (Table 6)"}
 	r.Add("model\talgo\tspeedups per input\tgeomean")
 	for _, model := range []styles.Model{styles.CUDA, styles.OMP, styles.CPP} {
 		var modelGeos []float64
-		for _, a := range AllAlgorithms() {
+		modelCells := s.cells(store.ByModel(model))
+		for _, a := range styles.PaperOrder() {
 			if model == styles.CUDA && a == styles.MIS {
 				r.Add("%s\t%s\tN/A (MIS not in Gardenia)", model, a)
 				continue
 			}
-			cfg, ok := s.bestAverageConfig(a, model)
+			cfg, ok := bestAverageConfig(modelCells, a)
 			if !ok {
 				continue
 			}
 			var speeds []float64
 			var cells []string
 			for in := gen.Input(0); in < gen.NumInputs; in++ {
-				ours := s.tputOf(cfg, in, model)
+				ours := tputOf(modelCells, cfg, in)
 				base := s.baselineTput(a, model, in)
 				if ours <= 0 || base <= 0 {
 					continue
@@ -329,13 +272,15 @@ func (s *Session) Fig16() *Report {
 	return s.annotate(r)
 }
 
-// bestAverageConfig returns the config with the highest geomean
-// throughput across inputs for the (algorithm, model), the paper's
-// "best-performing style" selection for §5.17.
-func (s *Session) bestAverageConfig(a styles.Algorithm, model styles.Model) (styles.Config, bool) {
+// bestAverageConfig returns the classic-atomics config of algorithm a
+// with the highest geomean throughput across the cells (one model's),
+// the paper's "best-performing style" selection for §5.17.
+func bestAverageConfig(cells []store.Cell, a styles.Algorithm) (styles.Config, bool) {
 	sums := make(map[styles.Config][]float64)
-	for _, m := range s.Select(and(byModel(model), classicOnly, byAlgos(a))) {
-		sums[m.Cfg] = append(sums[m.Cfg], m.Tput)
+	for _, c := range cells {
+		if c.Cfg.Algo == a && store.ClassicOnly(c) {
+			sums[c.Cfg] = append(sums[c.Cfg], c.Tput)
+		}
 	}
 	var best styles.Config
 	bestGeo := math.Inf(-1)
@@ -348,12 +293,14 @@ func (s *Session) bestAverageConfig(a styles.Algorithm, model styles.Model) (sty
 	return best, found
 }
 
-// tputOf averages the measured throughput of cfg on the input (over
-// devices for CUDA).
-func (s *Session) tputOf(cfg styles.Config, in gen.Input, model styles.Model) float64 {
+// tputOf averages the measured throughput of cfg on the input over the
+// cells (over devices for CUDA).
+func tputOf(cells []store.Cell, cfg styles.Config, in gen.Input) float64 {
 	var ts []float64
-	for _, m := range s.Select(func(m Meas) bool { return m.Cfg == cfg && m.Input == in }) {
-		ts = append(ts, m.Tput)
+	for _, c := range cells {
+		if c.Cfg == cfg && c.Input == in.String() {
+			ts = append(ts, c.Tput)
+		}
 	}
 	if len(ts) == 0 {
 		return 0

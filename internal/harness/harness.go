@@ -1,8 +1,9 @@
 // Package harness drives the paper's evaluation (§4, §5): it runs the
 // variant suite over the five study inputs on the two simulated GPUs
-// and the CPU execution models, computes the pairwise throughput ratios
-// "keeping the other styles fixed", and regenerates every table and
-// figure of the paper as a text report.
+// and the CPU execution models, keeps the measurements as cells of an
+// in-memory results store, and regenerates every table and figure of the
+// paper as a text report from that store's queries (the pairwise ratios
+// "keeping the other styles fixed" and the best-style census).
 //
 // Collection goes through the internal/sweep supervisor: every run has
 // a deadline, panics are recovered, results are verified against the
@@ -20,22 +21,15 @@ import (
 	"indigo/internal/gen"
 	"indigo/internal/gpusim"
 	"indigo/internal/graph"
+	"indigo/internal/store"
 	"indigo/internal/styles"
 	"indigo/internal/sweep"
 )
 
-// Meas is one measurement: a variant run on one input (and, for CUDA
-// variants, one device), with its throughput in giga-edges per second.
-type Meas struct {
-	Cfg    styles.Config
-	Input  gen.Input
-	Device string // profile name for CUDA; "cpu" for OMP/CPP
-	Tput   float64
-}
-
 // Session holds the generated inputs and the measurements collected so
-// far; figure drivers collect lazily so a single session can serve any
-// subset of the experiments without redundant runs.
+// far, as cells of an in-memory results store that every figure queries;
+// figure drivers collect lazily so a single session can serve any subset
+// of the experiments without redundant runs.
 type Session struct {
 	Scale  gen.Scale
 	Opt    algo.Options
@@ -48,7 +42,7 @@ type Session struct {
 	// errors eagerly.
 	Sweep sweep.Options
 
-	meas      []Meas
+	results   *store.Store
 	failures  []sweep.Failure
 	super     *sweep.Supervisor
 	collected map[collKey]bool
@@ -73,6 +67,7 @@ func NewSession(scale gen.Scale, threads int) *Session {
 			Verify:  true,
 		},
 		Graphs:    gen.Suite(scale),
+		results:   store.NewMem(),
 		collected: make(map[collKey]bool),
 	}
 	// Suite stats warm each graph's cached signature up front; past the
@@ -156,9 +151,10 @@ func (s *Session) Collect(algos []styles.Algorithm, models []styles.Model) {
 	if len(tasks) == 0 {
 		return
 	}
+	var cells []store.Cell
 	for _, o := range s.supervisor().Run(s.Graphs, s.Opt, tasks) {
 		if o.Kind == sweep.OK {
-			s.meas = append(s.meas, Meas{o.Cfg, o.Input, o.Device, o.Tput})
+			cells = append(cells, store.OutcomeCell(o, s.GStats[o.Input]))
 		} else {
 			s.failures = append(s.failures, o.Failure())
 			if s.Verbose {
@@ -167,6 +163,13 @@ func (s *Session) Collect(algos []styles.Algorithm, models []styles.Model) {
 			}
 		}
 	}
+	s.results.Append(cells...) // in memory: cannot fail
+}
+
+// Results returns the session's results store: one cell per measurement
+// collected or loaded so far.
+func (s *Session) Results() *store.Store {
+	return s.results
 }
 
 // Failures returns the classified failures of every collection so far.
@@ -191,84 +194,23 @@ func (s *Session) annotate(r *Report) *Report {
 	return r
 }
 
-// Select returns the collected measurements matching the filter.
-func (s *Session) Select(f func(Meas) bool) []Meas {
-	var out []Meas
-	for _, m := range s.meas {
-		if f == nil || f(m) {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// AllAlgorithms lists the six problems in paper order.
-func AllAlgorithms() []styles.Algorithm {
-	return []styles.Algorithm{styles.CC, styles.MIS, styles.PR, styles.TC, styles.BFS, styles.SSSP}
-}
-
-// valueIndex returns which alternative of dim the config holds.
-func valueIndex(dim *styles.Dim, cfg styles.Config) int {
-	for i := 0; i < dim.NumValues; i++ {
-		if dim.Set(cfg, i) == cfg {
-			return i
-		}
-	}
-	return -1
-}
-
-// Ratios pairs measurements that differ only in the given dimension and
-// returns tput[aIdx]/tput[bIdx] per algorithm — the paper's ratio
-// methodology (§5: "while keeping the other styles fixed"). Pairs with
-// a missing or non-positive side (failed or filtered runs) drop out.
-func Ratios(ms []Meas, dim *styles.Dim, aIdx, bIdx int) map[styles.Algorithm][]float64 {
-	type pairKey struct {
-		key    string
-		input  gen.Input
-		device string
-	}
-	groups := make(map[pairKey]map[int]float64)
-	algoOf := make(map[pairKey]styles.Algorithm)
-	for _, m := range ms {
-		if !dim.Applies(m.Cfg) {
+// Throughputs groups measured throughputs by the value of dim (keyed by
+// its rendering, dim.Value), per algorithm: used by the figures that plot
+// raw throughputs of three-way styles (Figs. 9-11). Non-finite
+// throughputs are filtered.
+func Throughputs(cells []store.Cell, dim *styles.Dim) map[styles.Algorithm]map[string][]float64 {
+	out := make(map[styles.Algorithm]map[string][]float64)
+	for _, c := range cells {
+		if !dim.Applies(c.Cfg) || !(c.Tput > 0) {
 			continue
 		}
-		pk := pairKey{m.Cfg.KeyWithout(dim), m.Input, m.Device}
-		g := groups[pk]
-		if g == nil {
-			g = make(map[int]float64)
-			groups[pk] = g
-			algoOf[pk] = m.Cfg.Algo
-		}
-		g[valueIndex(dim, m.Cfg)] = m.Tput
-	}
-	out := make(map[styles.Algorithm][]float64)
-	for pk, g := range groups {
-		a, okA := g[aIdx]
-		b, okB := g[bIdx]
-		if okA && okB && a > 0 && b > 0 {
-			out[algoOf[pk]] = append(out[algoOf[pk]], a/b)
-		}
-	}
-	return out
-}
-
-// Throughputs groups measured throughputs by the value of dim, per
-// algorithm: used by the figures that plot raw throughputs of
-// three-way styles (Figs. 9-11). Non-finite throughputs are filtered.
-func Throughputs(ms []Meas, dim *styles.Dim) map[styles.Algorithm]map[int][]float64 {
-	out := make(map[styles.Algorithm]map[int][]float64)
-	for _, m := range ms {
-		if !dim.Applies(m.Cfg) || !(m.Tput > 0) {
-			continue
-		}
-		byVal := out[m.Cfg.Algo]
+		byVal := out[c.Cfg.Algo]
 		if byVal == nil {
-			byVal = make(map[int][]float64)
-			out[m.Cfg.Algo] = byVal
+			byVal = make(map[string][]float64)
+			out[c.Cfg.Algo] = byVal
 		}
-		i := valueIndex(dim, m.Cfg)
-		byVal[i] = append(byVal[i], m.Tput)
+		v := dim.Value(c.Cfg)
+		byVal[v] = append(byVal[v], c.Tput)
 	}
 	return out
 }

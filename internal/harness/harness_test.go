@@ -6,60 +6,18 @@ import (
 
 	"indigo/internal/gen"
 	"indigo/internal/stats"
+	"indigo/internal/store"
 	"indigo/internal/styles"
 )
 
-// TestRatiosPairing checks the pairing arithmetic on synthetic
-// measurements: ratios must match only configs differing in the single
-// dimension, per input and device.
-func TestRatiosPairing(t *testing.T) {
-	dim := styles.DimByKey("flow")
-	push := styles.Config{Algo: styles.SSSP, Model: styles.CPP, Flow: styles.Push}
-	pull := push
-	pull.Flow = styles.Pull
-	other := push
-	other.Det = styles.Deterministic
-	other.Update = styles.ReadModifyWrite
-	ms := []Meas{
-		{Cfg: push, Input: gen.InputRoad, Device: "cpu", Tput: 10},
-		{Cfg: pull, Input: gen.InputRoad, Device: "cpu", Tput: 2},
-		{Cfg: push, Input: gen.InputSocial, Device: "cpu", Tput: 8},
-		{Cfg: pull, Input: gen.InputSocial, Device: "cpu", Tput: 4},
-		{Cfg: other, Input: gen.InputRoad, Device: "cpu", Tput: 100}, // unpaired
-	}
-	got := Ratios(ms, dim, int(styles.Push), int(styles.Pull))
-	rs := got[styles.SSSP]
-	if len(rs) != 2 {
-		t.Fatalf("got %d ratios, want 2: %v", len(rs), rs)
-	}
-	sum := rs[0] + rs[1]
-	if sum != 7 { // 5 + 2
-		t.Errorf("ratios %v, want {5, 2}", rs)
-	}
-}
-
-func TestRatiosSeparatesDevices(t *testing.T) {
-	dim := styles.DimByKey("atomics")
-	a := styles.Config{Algo: styles.CC, Model: styles.CUDA}
-	b := a
-	b.Atomics = styles.CudaAtomic
-	ms := []Meas{
-		{Cfg: a, Input: 0, Device: "rtx-sim", Tput: 10},
-		{Cfg: b, Input: 0, Device: "titan-sim", Tput: 1}, // different device: no pair
-	}
-	if got := Ratios(ms, dim, 0, 1); len(got[styles.CC]) != 0 {
-		t.Fatalf("cross-device pairing happened: %v", got)
-	}
-}
-
 func TestThroughputsGrouping(t *testing.T) {
 	dim := styles.DimByKey("gran")
-	mk := func(g styles.Gran, tput float64) Meas {
-		return Meas{Cfg: styles.Config{Algo: styles.BFS, Model: styles.CUDA, Gran: g}, Tput: tput}
+	mk := func(g styles.Gran, tput float64) store.Cell {
+		return store.Cell{Cfg: styles.Config{Algo: styles.BFS, Model: styles.CUDA, Gran: g}, Tput: tput}
 	}
-	ms := []Meas{mk(styles.ThreadGran, 1), mk(styles.WarpGran, 2), mk(styles.WarpGran, 3)}
-	got := Throughputs(ms, dim)
-	if len(got[styles.BFS][int(styles.ThreadGran)]) != 1 || len(got[styles.BFS][int(styles.WarpGran)]) != 2 {
+	cells := []store.Cell{mk(styles.ThreadGran, 1), mk(styles.WarpGran, 2), mk(styles.WarpGran, 3)}
+	got := Throughputs(cells, dim)
+	if len(got[styles.BFS][styles.ThreadGran.String()]) != 1 || len(got[styles.BFS][styles.WarpGran.String()]) != 2 {
 		t.Fatalf("grouping wrong: %v", got)
 	}
 }
@@ -87,12 +45,12 @@ func TestFig1AtomicBeatsCudaAtomic(t *testing.T) {
 	// The paper's headline: Atomic is ~10x faster on the RTX-like GPU
 	// and ~100x on the Titan-like GPU. Check the medians' direction and
 	// the inter-device ordering on SSSP.
-	ratios := s.RatiosByAlgo("atomics", int(styles.ClassicAtomic), int(styles.CudaAtomic),
-		and(byModel(styles.CUDA), byDevice("rtx-sim"), byAlgos(styles.SSSP)))
-	rtxMed := stats.Median(ratios[styles.SSSP])
-	ratiosT := s.RatiosByAlgo("atomics", int(styles.ClassicAtomic), int(styles.CudaAtomic),
-		and(byModel(styles.CUDA), byDevice("titan-sim"), byAlgos(styles.SSSP)))
-	titanMed := stats.Median(ratiosT[styles.SSSP])
+	atomics := func(f store.Filter) map[styles.Algorithm][]float64 {
+		return s.Results().Ratios(styles.DimByKey("atomics"), int(styles.ClassicAtomic), int(styles.CudaAtomic),
+			store.And(store.ByModel(styles.CUDA), f))
+	}
+	rtxMed := stats.Median(atomics(byDevice("rtx-sim"))[styles.SSSP])
+	titanMed := stats.Median(atomics(byDevice("titan-sim"))[styles.SSSP])
 	if rtxMed < 2 {
 		t.Errorf("rtx SSSP atomic/cudaatomic median = %v, want > 2", rtxMed)
 	}
@@ -100,9 +58,7 @@ func TestFig1AtomicBeatsCudaAtomic(t *testing.T) {
 		t.Errorf("titan median %v not well above rtx median %v", titanMed, rtxMed)
 	}
 	// TC's ratio should be the smallest (only one atomic add, §5.1).
-	tcR := s.RatiosByAlgo("atomics", int(styles.ClassicAtomic), int(styles.CudaAtomic),
-		and(byModel(styles.CUDA), byDevice("titan-sim"), byAlgos(styles.TC)))
-	if tcMed := stats.Median(tcR[styles.TC]); !(tcMed < titanMed) {
+	if tcMed := stats.Median(atomics(byDevice("titan-sim"))[styles.TC]); !(tcMed < titanMed) {
 		t.Errorf("TC median %v should be below SSSP median %v", tcMed, titanMed)
 	}
 }
@@ -110,8 +66,8 @@ func TestFig1AtomicBeatsCudaAtomic(t *testing.T) {
 func TestFig8PersistentNearOne(t *testing.T) {
 	s := getSession(t)
 	_ = s.Fig8()
-	ratios := s.RatiosByAlgo("persist", int(styles.Persistent), int(styles.NonPersistent),
-		and(classicOnly, byModel(styles.CUDA)))
+	ratios := s.Results().Ratios(styles.DimByKey("persist"), int(styles.Persistent), int(styles.NonPersistent),
+		store.And(store.ClassicOnly, store.ByModel(styles.CUDA)))
 	for a, xs := range ratios {
 		med := stats.Median(xs)
 		if med < 0.05 || med > 20 {
@@ -124,11 +80,11 @@ func TestFig10ReductionAddFastest(t *testing.T) {
 	s := getSession(t)
 	_ = s.Fig10()
 	dim := styles.DimByKey("gpured")
-	ms := s.Select(and(classicOnly, byModel(styles.CUDA), byAlgos(styles.PR, styles.TC)))
 	// Pairwise (other styles fixed): reduction-add beats global-add on
 	// the median (§5.9); the magnitude is smaller than the paper's (see
 	// EXPERIMENTS.md on the bandwidth-centric cost model).
-	rg := Ratios(ms, dim, int(styles.ReductionAdd), int(styles.GlobalAdd))
+	rg := s.Results().Ratios(dim, int(styles.ReductionAdd), int(styles.GlobalAdd),
+		store.And(store.ClassicOnly, store.ByModel(styles.CUDA), byAlgos(styles.PR, styles.TC)))
 	for _, a := range []styles.Algorithm{styles.PR, styles.TC} {
 		if med := stats.Median(rg[a]); !(med > 1.0) {
 			t.Errorf("%s reduction-add/global-add median = %v, want > 1 (§5.9)", a, med)
@@ -140,9 +96,8 @@ func TestFig11CriticalSlowest(t *testing.T) {
 	s := getSession(t)
 	_ = s.Fig11()
 	dim := styles.DimByKey("cpured")
-	ms := s.Select(byAlgos(styles.PR, styles.TC))
 	// Pairwise: the clause reduction beats the critical section (§5.10).
-	cc := Ratios(ms, dim, int(styles.ClauseRed), int(styles.CriticalRed))
+	cc := s.Results().Ratios(dim, int(styles.ClauseRed), int(styles.CriticalRed), byAlgos(styles.PR, styles.TC))
 	for _, a := range []styles.Algorithm{styles.PR, styles.TC} {
 		if med := stats.Median(cc[a]); !(med > 1.0) {
 			t.Errorf("%s clause/critical median = %v, want > 1 (§5.10)", a, med)

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"indigo/internal/gen"
 	"indigo/internal/store"
@@ -24,47 +23,33 @@ func (s *Session) AttachStore(st *store.Store) {
 		if o.Kind != sweep.OK {
 			return
 		}
-		err := st.Append(store.Cell{
-			Cfg:       o.Cfg,
-			Input:     o.Input.String(),
-			Device:    o.Device,
-			Graph:     s.GStats[o.Input],
-			Tput:      o.Tput,
-			Attempts:  o.Attempts,
-			ElapsedMS: float64(o.Elapsed) / float64(time.Millisecond),
-
-			SimCycles:       o.SimCycles,
-			SimInstructions: o.SimInstructions,
-			SimTransactions: o.SimTransactions,
-		})
-		if err != nil {
+		if err := st.Append(store.OutcomeCell(o, s.GStats[o.Input])); err != nil {
 			fmt.Fprintf(os.Stderr, "harness: store append failed: %v\n", err)
 		}
 	}
 }
 
-// LoadStore seeds the session's measurements from a results store, so
+// LoadStore seeds the session's results from a results store, so
 // reports build from the persistent corpus instead of fresh runs. Every
 // (algorithm, model) pair the store covers is marked collected: the
 // store is trusted as the measurement source for those pairs, and cells
 // it lacks surface as missing data in reports rather than triggering
 // re-runs. Cells naming inputs outside the generated suite are skipped.
 // Call on a fresh session, before any Collect. Returns the number of
-// measurements loaded.
+// cells loaded.
 func (s *Session) LoadStore(st *store.Store) int {
-	byName := make(map[string]gen.Input, int(gen.NumInputs))
+	suite := make(map[string]bool, int(gen.NumInputs))
 	for in := gen.Input(0); in < gen.NumInputs; in++ {
-		byName[in.String()] = in
+		suite[in.String()] = true
 	}
-	n := 0
+	var cells []store.Cell
 	for _, c := range st.Cells() {
-		in, ok := byName[c.Input]
-		if !ok {
+		if !suite[c.Input] {
 			continue
 		}
-		s.meas = append(s.meas, Meas{Cfg: c.Cfg, Input: in, Device: c.Device, Tput: c.Tput})
+		cells = append(cells, c)
 		s.collected[collKey{c.Cfg.Algo, c.Cfg.Model}] = true
-		n++
 	}
-	return n
+	s.results.Append(cells...) // in memory: cannot fail
+	return len(cells)
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"indigo/internal/gen"
@@ -18,12 +19,16 @@ func TestAttachStoreCollectsCells(t *testing.T) {
 	s.AttachStore(st)
 	s.Collect([]styles.Algorithm{styles.BFS}, []styles.Model{styles.CPP})
 
-	ms := s.Select(func(Meas) bool { return true })
-	if len(ms) == 0 {
+	n := s.Results().Len()
+	if n == 0 {
 		t.Fatal("collection produced no measurements")
 	}
-	if st.Len() != len(ms) {
-		t.Fatalf("store holds %d cells, session holds %d measurements", st.Len(), len(ms))
+	if st.Len() != n {
+		t.Fatalf("store holds %d cells, session holds %d measurements", st.Len(), n)
+	}
+	// Both receive the same cells, built by the same constructor.
+	if !reflect.DeepEqual(st.Cells(), s.Results().Cells()) {
+		t.Error("attached store's cells differ from the session's own")
 	}
 	for _, c := range st.Cells() {
 		if c.Tput <= 0 {
@@ -38,13 +43,12 @@ func TestAttachStoreCollectsCells(t *testing.T) {
 
 // TestLoadStoreSeedsSession checks a second session can rebuild its
 // measurements from the store without re-running anything, and that the
-// two sessions agree on the aggregates.
+// two sessions agree on the aggregates value for value.
 func TestLoadStoreSeedsSession(t *testing.T) {
 	s1 := NewSession(gen.Tiny, 2)
 	st := store.NewMem()
 	s1.AttachStore(st)
 	s1.Collect([]styles.Algorithm{styles.BFS}, []styles.Model{styles.CPP})
-	ms1 := s1.Select(func(Meas) bool { return true })
 
 	s2 := NewSession(gen.Tiny, 2)
 	n := s2.LoadStore(st)
@@ -53,18 +57,23 @@ func TestLoadStoreSeedsSession(t *testing.T) {
 	}
 	// The pair is marked collected: a Collect for it must not add runs.
 	s2.Collect([]styles.Algorithm{styles.BFS}, []styles.Model{styles.CPP})
-	ms2 := s2.Select(func(Meas) bool { return true })
-	if len(ms2) != n {
-		t.Fatalf("Collect after LoadStore re-ran: %d measurements, want %d", len(ms2), n)
+	if got := s2.Results().Len(); got != n {
+		t.Fatalf("Collect after LoadStore re-ran: %d measurements, want %d", got, n)
 	}
 
-	dim := styles.DimByKey("flow")
-	r1 := Ratios(ms1, dim, int(styles.Push), int(styles.Pull))
-	r2 := Ratios(ms2, dim, int(styles.Push), int(styles.Pull))
-	for a, xs := range r1 {
-		if len(xs) != len(r2[a]) {
-			t.Fatalf("ratio counts differ for %s: %d vs %d", a, len(xs), len(r2[a]))
+	ratios := func(s *Session) map[styles.Algorithm][]float64 {
+		r := s.Results().Ratios(styles.DimByKey("flow"), int(styles.Push), int(styles.Pull), nil)
+		for _, xs := range r {
+			sort.Float64s(xs)
 		}
+		return r
+	}
+	r1, r2 := ratios(s1), ratios(s2)
+	if len(r1[styles.BFS]) == 0 {
+		t.Fatal("no push/pull ratios to compare")
+	}
+	if !reflect.DeepEqual(r1, r2) {
+		t.Fatalf("sessions disagree on push/pull ratios:\n %v\nvs %v", r1, r2)
 	}
 }
 

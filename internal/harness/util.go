@@ -11,9 +11,6 @@ import (
 	"indigo/internal/styles"
 )
 
-// graphStats aliases the stats record used by the correlation report.
-type graphStats = graph.Stats
-
 func itoa(x int) string { return strconv.Itoa(x) }
 
 func ftoa(x float64) string {

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -13,16 +12,15 @@ import (
 	"indigo/internal/gen"
 	"indigo/internal/graph"
 	"indigo/internal/harness"
-	"indigo/internal/stats"
 	"indigo/internal/store"
 	"indigo/internal/styles"
 )
 
 // TestGoldenRoundTrip is the pipeline acceptance test: a real sweep
 // writes a journal, the store imports it, and the HTTP aggregates are
-// byte-identical to what the harness computes directly from its own
-// in-memory measurements. Any drift between the two aggregation paths
-// (pairing keys, tie-breaks, rendering) fails here.
+// byte-identical to the same queries over the collecting session's own
+// results. Anything the journal round trip loses or alters (a cell, a
+// throughput bit, an input's shape) fails here.
 func TestGoldenRoundTrip(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
 	sess := harness.NewSession(gen.Tiny, 2)
@@ -34,10 +32,8 @@ func TestGoldenRoundTrip(t *testing.T) {
 	if err := sess.CloseSweep(); err != nil {
 		t.Fatal(err)
 	}
-	ms := sess.Select(func(m harness.Meas) bool {
-		return m.Cfg.Atomics == styles.ClassicAtomic
-	})
-	if len(ms) == 0 {
+	own := sess.Results()
+	if own.Len() == 0 {
 		t.Fatal("sweep produced no measurements")
 	}
 
@@ -46,97 +42,42 @@ func TestGoldenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(ms) {
-		t.Fatalf("imported %d cells, session holds %d measurements", n, len(ms))
+	if n != own.Len() {
+		t.Fatalf("imported %d cells, session holds %d measurements", n, own.Len())
 	}
 
 	ts := httptest.NewServer(New(Options{Store: st}).Handler())
 	defer ts.Close()
 
 	t.Run("ratios", func(t *testing.T) {
-		dim := styles.DimByKey("flow")
-		want := "flow: push over pull\n"
-		ratios := harness.Ratios(ms, dim, int(styles.Push), int(styles.Pull))
-		for _, a := range []styles.Algorithm{styles.CC, styles.MIS, styles.PR,
-			styles.TC, styles.BFS, styles.SSSP} {
-			if xs := ratios[a]; len(xs) > 0 {
-				want += fmt.Sprintf("  %-4s %s\n", a.String(), stats.NewBoxen(xs).String())
-			}
+		ratios := own.Ratios(styles.DimByKey("flow"), int(styles.Push), int(styles.Pull), store.ClassicOnly)
+		if len(ratios[styles.BFS]) == 0 {
+			t.Fatal("session has no push/pull pairs")
 		}
+		want := strings.Join(append([]string{"flow: push over pull"}, store.RatioLines(ratios)...), "\n") + "\n"
 		code, got := get(t, ts.URL+"/v1/ratios?dim=flow")
 		if code != http.StatusOK {
 			t.Fatalf("ratios: %d %q", code, got)
 		}
 		if got != want {
-			t.Fatalf("/v1/ratios differs from the harness computation:\n got %q\nwant %q", got, want)
+			t.Fatalf("/v1/ratios differs from the session's results:\n got %q\nwant %q", got, want)
 		}
 	})
 
 	t.Run("census", func(t *testing.T) {
-		want := store.CensusHeader + "\n" + harnessCensusLine(ms, styles.OMP) + "\n"
+		row, ok := own.Census(styles.OMP)
+		if !ok {
+			t.Fatal("session census is empty")
+		}
+		want := store.CensusHeader + "\n" + row.Line() + "\n"
 		code, got := get(t, ts.URL+"/v1/census?model=omp")
 		if code != http.StatusOK {
 			t.Fatalf("census: %d %q", code, got)
 		}
 		if got != want {
-			t.Fatalf("/v1/census differs from the harness computation:\n got %q\nwant %q", got, want)
+			t.Fatalf("/v1/census differs from the session's results:\n got %q\nwant %q", got, want)
 		}
 	})
-}
-
-// harnessCensusLine computes the Fig. 14 census row directly from
-// harness measurements, with the formula and rendering of
-// Session.Fig14 — the oracle the store-backed endpoint must match.
-func harnessCensusLine(ms []harness.Meas, model styles.Model) string {
-	type key struct {
-		a   styles.Algorithm
-		in  gen.Input
-		dev string
-	}
-	best := make(map[key]harness.Meas)
-	for _, m := range ms {
-		if m.Cfg.Model != model {
-			continue
-		}
-		k := key{m.Cfg.Algo, m.Input, m.Device}
-		if cur, ok := best[k]; !ok || m.Tput > cur.Tput ||
-			(m.Tput == cur.Tput && m.Cfg.Name() < cur.Cfg.Name()) {
-			best[k] = m
-		}
-	}
-	var vertex, topo, dup, push, rw, nondet, data int
-	for _, m := range best {
-		cfg := m.Cfg
-		if cfg.Iterate == styles.VertexBased {
-			vertex++
-		}
-		if cfg.Drive == styles.TopologyDriven {
-			topo++
-		} else {
-			data++
-			if cfg.Drive == styles.DataDrivenDup {
-				dup++
-			}
-		}
-		if cfg.Flow == styles.Push {
-			push++
-		}
-		if cfg.Update == styles.ReadWrite {
-			rw++
-		}
-		if cfg.Det == styles.NonDeterministic {
-			nondet++
-		}
-	}
-	n := len(best)
-	pct := func(x, of int) float64 {
-		if of == 0 {
-			return 0
-		}
-		return 100 * float64(x) / float64(of)
-	}
-	return fmt.Sprintf("%s\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f", model,
-		pct(vertex, n), pct(topo, n), pct(dup, data), pct(push, n), pct(rw, n), pct(nondet, n))
 }
 
 // TestAdviseRoadNetwork is the §5.16 acceptance case: uploading a road

@@ -44,24 +44,31 @@ func ImportJournal(s *Store, path string, resolve func(input string) (graph.Stat
 		if !ok {
 			continue
 		}
-		cells = append(cells, Cell{
-			Cfg:       o.Cfg,
-			Input:     o.Input.String(),
-			Device:    o.Device,
-			Graph:     st,
-			Tput:      o.Tput,
-			Attempts:  o.Attempts,
-			ElapsedMS: float64(o.Elapsed) / float64(time.Millisecond),
-
-			SimCycles:       o.SimCycles,
-			SimInstructions: o.SimInstructions,
-			SimTransactions: o.SimTransactions,
-		})
+		cells = append(cells, OutcomeCell(o, st))
 	}
 	if err := s.Append(cells...); err != nil {
 		return 0, err
 	}
 	return len(cells), nil
+}
+
+// OutcomeCell is the cell of one successful supervised run on an input
+// with shape signature g: the throughput plus the run's attempts,
+// elapsed time and simulated cost counters.
+func OutcomeCell(o sweep.Outcome, g graph.Stats) Cell {
+	return Cell{
+		Cfg:       o.Cfg,
+		Input:     o.Input.String(),
+		Device:    o.Device,
+		Graph:     g,
+		Tput:      o.Tput,
+		Attempts:  o.Attempts,
+		ElapsedMS: float64(o.Elapsed) / float64(time.Millisecond),
+
+		SimCycles:       o.SimCycles,
+		SimInstructions: o.SimInstructions,
+		SimTransactions: o.SimTransactions,
+	}
 }
 
 // ScaleResolver resolves the generated study inputs at the given scale,

@@ -10,17 +10,11 @@ import (
 	"indigo/internal/styles"
 )
 
-// This file is the query side of the store: the paper's figures as
-// aggregations over stored cells instead of one-shot report passes.
-// The pairing and census methodologies mirror internal/harness exactly
-// (same grouping keys, same tie-breaks, same rendering), which the
-// round-trip golden test in internal/serve pins down byte-for-byte.
-
-// paperOrder lists the six algorithms in the paper's presentation
-// order, matching harness.AllAlgorithms.
-var paperOrder = []styles.Algorithm{
-	styles.CC, styles.MIS, styles.PR, styles.TC, styles.BFS, styles.SSSP,
-}
+// This file is the query side of the store: the paper's §5 pairwise
+// ratios and the Fig. 14 best-style census as aggregations over stored
+// cells. It is the one aggregation layer: the harness figures (over a
+// session's in-memory store), the serve endpoints and the tuner all
+// query it.
 
 // Filter selects cells for a query; nil selects everything.
 type Filter func(Cell) bool
@@ -63,8 +57,8 @@ func valueIndex(dim *styles.Dim, cfg styles.Config) int {
 
 // Ratios pairs cells that differ only in the given dimension and
 // returns tput[aIdx]/tput[bIdx] per algorithm — the paper's §5 ratio
-// methodology over the stored corpus. Pairing is per input and device,
-// exactly like harness.Ratios.
+// methodology ("while keeping the other styles fixed"). Pairing is per
+// input and device; pairs with a missing or non-positive side drop out.
 func (s *Store) Ratios(dim *styles.Dim, aIdx, bIdx int, f Filter) map[styles.Algorithm][]float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -104,10 +98,10 @@ func (s *Store) Ratios(dim *styles.Dim, aIdx, bIdx int, f Filter) map[styles.Alg
 }
 
 // RatioLines renders per-algorithm ratio distributions as boxen lines
-// in the harness report format ("  algo n=... med=...").
+// in the report format ("  algo n=... med=..."), in paper order.
 func RatioLines(ratios map[styles.Algorithm][]float64) []string {
 	var lines []string
-	for _, a := range paperOrder {
+	for _, a := range styles.PaperOrder() {
 		if xs := ratios[a]; len(xs) > 0 {
 			lines = append(lines, fmt.Sprintf("  %-4s %s", a.String(), stats.NewBoxen(xs).String()))
 		}
@@ -128,19 +122,19 @@ type CensusRow struct {
 	NonDet float64
 }
 
-// bestCells returns the highest-throughput cell per (algorithm, input,
-// device) among classic-atomics cells of the model. Ties break to the
-// lexicographically smaller variant name so the census is independent
-// of row order.
-func (s *Store) bestCells(model styles.Model) []Cell {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// Census computes the Fig. 14 best-style census for one model over the
+// stored corpus: the highest-throughput classic-atomics cell per
+// (algorithm, input, device), ties broken to the lexicographically
+// smaller variant name so the census is independent of row order. ok is
+// false when the store holds no cells for the model.
+func (s *Store) Census(model styles.Model) (CensusRow, bool) {
 	type key struct {
 		a      styles.Algorithm
 		input  string
 		device string
 	}
 	best := make(map[key]Cell)
+	s.mu.RLock()
 	for i := range s.cfg {
 		c := s.cellAt(i)
 		if c.Cfg.Model != model || !ClassicOnly(c) {
@@ -153,18 +147,7 @@ func (s *Store) bestCells(model styles.Model) []Cell {
 			best[k] = c
 		}
 	}
-	out := make([]Cell, 0, len(best))
-	for _, c := range best {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
-}
-
-// Census computes the Fig. 14 best-style census for one model over the
-// stored corpus. ok is false when the store holds no cells for it.
-func (s *Store) Census(model styles.Model) (CensusRow, bool) {
-	best := s.bestCells(model)
+	s.mu.RUnlock()
 	if len(best) == 0 {
 		return CensusRow{Model: model}, false
 	}
@@ -301,33 +284,4 @@ func (s *Store) BestForShape(a styles.Algorithm, m styles.Model, device string, 
 		best = best[:k]
 	}
 	return best
-}
-
-// ComboCount pairs a variant name with how many (algorithm, input,
-// device) groups it wins.
-type ComboCount struct {
-	Variant string
-	Count   int
-}
-
-// BestComboCounts counts, per full style combination, how often it is
-// the best performer for the model — the store's view of "which exact
-// combinations win", beyond the per-dimension census. Sorted by count
-// descending, then name.
-func (s *Store) BestComboCounts(model styles.Model) []ComboCount {
-	counts := make(map[string]int)
-	for _, c := range s.bestCells(model) {
-		counts[c.Cfg.Name()]++
-	}
-	out := make([]ComboCount, 0, len(counts))
-	for name, n := range counts {
-		out = append(out, ComboCount{Variant: name, Count: n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Variant < out[j].Variant
-	})
-	return out
 }

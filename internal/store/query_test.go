@@ -57,6 +57,24 @@ func TestRatiosPairsByInput(t *testing.T) {
 	}
 }
 
+func TestRatiosSeparatesDevices(t *testing.T) {
+	s := NewMem()
+	a := styles.Config{Algo: styles.CC, Model: styles.CUDA}
+	b := a
+	b.Atomics = styles.CudaAtomic
+	// Same config pair, different devices: no pair may form.
+	if err := s.Append(
+		Cell{Cfg: a, Input: "road", Device: "rtx-sim", Tput: 10},
+		Cell{Cfg: b, Input: "road", Device: "titan-sim", Tput: 1},
+	); err != nil {
+		t.Fatal(err)
+	}
+	dim := styles.DimByKey("atomics")
+	if got := s.Ratios(dim, int(styles.ClassicAtomic), int(styles.CudaAtomic), nil); len(got[styles.CC]) != 0 {
+		t.Fatalf("cross-device pairing happened: %v", got)
+	}
+}
+
 func TestCensusDeterministicTieBreak(t *testing.T) {
 	// Two variants tie on throughput; the census must pick the
 	// lexicographically smaller variant name no matter the append order.
@@ -88,21 +106,6 @@ func TestCensusEmptyModel(t *testing.T) {
 	s := NewMem()
 	if _, ok := s.Census(styles.CUDA); ok {
 		t.Fatal("Census over empty store reported data")
-	}
-}
-
-func TestBestComboCounts(t *testing.T) {
-	s := NewMem()
-	if err := s.Append(
-		queryCell(t, styles.TopologyDriven, styles.Push, "road", 5.0),
-		queryCell(t, styles.TopologyDriven, styles.Pull, "road", 1.0),
-		queryCell(t, styles.TopologyDriven, styles.Push, "grid2d", 5.0),
-	); err != nil {
-		t.Fatal(err)
-	}
-	got := s.BestComboCounts(styles.OMP)
-	if len(got) != 1 || got[0].Count != 2 {
-		t.Fatalf("BestComboCounts = %+v, want one variant winning both inputs", got)
 	}
 }
 

@@ -272,13 +272,6 @@ func (s *Store) Generation() uint64 {
 	return s.gen
 }
 
-// At returns cell i (0 <= i < Len()) by row.
-func (s *Store) At(i int) Cell {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.cellAt(i)
-}
-
 func (s *Store) cellAt(i int) Cell {
 	return Cell{
 		Cfg:       s.cfg[i],

@@ -150,8 +150,8 @@ func TestOverwriteLastWriteWins(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (same key overwrites)", s.Len())
 	}
-	if got := s.At(0); got.Tput != 99 || got.Attempts != 3 {
-		t.Fatalf("At(0) = %+v, want the second write", got)
+	if got := s.Cells()[0]; got.Tput != 99 || got.Attempts != 3 {
+		t.Fatalf("cell 0 = %+v, want the second write", got)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -163,8 +163,8 @@ func TestOverwriteLastWriteWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Len() != 1 || r.At(0).Tput != 99 {
-		t.Fatalf("reopened: Len=%d At(0)=%+v, want one cell with Tput 99", r.Len(), r.At(0))
+	if cells := r.Cells(); len(cells) != 1 || cells[0].Tput != 99 {
+		t.Fatalf("reopened: cells %+v, want one cell with Tput 99", cells)
 	}
 }
 
@@ -318,7 +318,7 @@ func TestOpenMigratesV1(t *testing.T) {
 	if r.Len() != len(cells)+1 {
 		t.Fatalf("Len = %d after reopen, want %d", r.Len(), len(cells)+1)
 	}
-	got := r.At(r.Len() - 1)
+	got := r.Cells()[r.Len()-1]
 	if !reflect.DeepEqual(got, extra) {
 		t.Fatalf("post-migration append:\n got %+v\nwant %+v", got, extra)
 	}
@@ -384,7 +384,7 @@ func TestImportJournal(t *testing.T) {
 	if n != 1 || s.Len() != 1 {
 		t.Fatalf("imported %d cells (store %d), want 1", n, s.Len())
 	}
-	got := s.At(0)
+	got := s.Cells()[0]
 	want := Cell{Cfg: all[0], Input: "road", Device: "cpu", Graph: roadStats,
 		Tput: 1.5, Attempts: 1, ElapsedMS: 10}
 	if !reflect.DeepEqual(got, want) {

@@ -41,6 +41,12 @@ func (a Algorithm) String() string {
 	return "unknown"
 }
 
+// PaperOrder lists the six algorithms in the paper's presentation order,
+// the row order of every report and query rendering.
+func PaperOrder() []Algorithm {
+	return []Algorithm{CC, MIS, PR, TC, BFS, SSSP}
+}
+
 // Model enumerates the three programming models (§2): CUDA runs on the
 // gpusim substrate, OMP and CPP on the par substrate.
 type Model int
