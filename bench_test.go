@@ -302,36 +302,25 @@ func BenchmarkVariantSSSPDataDrivenCPP(b *testing.B) {
 	}
 }
 
-// BenchmarkVariantBFSRoadPoolVsSpawn is the end-to-end case the pool
-// runtime targets: a road network's BFS runs hundreds of rounds with
-// small frontiers, so per-region dispatch overhead dominates. "pooled"
-// pins one persistent pool for the whole run; "spawn" forces the legacy
-// spawn-per-region path. cmd/bench records the ratio in BENCH_pool.json.
-func BenchmarkVariantBFSRoadPoolVsSpawn(b *testing.B) {
+// BenchmarkVariantBFSRoad is the end-to-end case the pool runtime
+// targets and the algorithm rung of the benchmark ladder (BENCH.txt): a
+// road network's BFS runs hundreds of rounds with small frontiers, so
+// per-region dispatch overhead dominates. One persistent pool serves the
+// whole run, as in a sweep.
+func BenchmarkVariantBFSRoad(b *testing.B) {
 	g := gen.Generate(gen.InputRoad, gen.Tiny)
 	cfg := styles.Config{
 		Algo: styles.BFS, Model: styles.CPP, Drive: styles.DataDrivenNoDup,
 		Flow: styles.Push, Update: styles.ReadModifyWrite,
 	}
 	const threads = 4
-	b.Run("pooled", func(b *testing.B) {
-		p := par.NewPool(threads)
-		defer p.Close()
-		opt := algo.Options{Threads: threads, Pool: p}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			runner.RunCPU(g, cfg, opt) //nolint:errcheck // benchmark body
-		}
-	})
-	b.Run("spawn", func(b *testing.B) {
-		defer par.SetPooling(true)
-		par.SetPooling(false)
-		opt := algo.Options{Threads: threads}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			runner.RunCPU(g, cfg, opt) //nolint:errcheck // benchmark body
-		}
-	})
+	p := par.NewPool(threads)
+	defer p.Close()
+	opt := algo.Options{Threads: threads, Pool: p}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runner.RunCPU(g, cfg, opt) //nolint:errcheck // benchmark body
+	}
 }
 
 func BenchmarkVariantBFSWarpGPU(b *testing.B) {

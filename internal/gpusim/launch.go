@@ -294,6 +294,22 @@ func (d *Device) makeCoro(wi int) warpCoro {
 	return warpCoro{next: next, stop: stop, detached: true}
 }
 
+// Close stops the device's persistent warp coroutines. A device that
+// has run a barrier kernel keeps one suspended coroutine per warp slot
+// between launches, and each holds the device reachable, so a device
+// that is dropped without Close leaks those goroutines and its cost
+// tables with them. Call it once no launch is in flight; the device
+// stays usable (the next barrier launch recreates the coroutines), and
+// closing twice is harmless.
+func (d *Device) Close() {
+	for wi, c := range d.coros {
+		if c.stop != nil {
+			c.stop()
+		}
+		d.coros[wi] = warpCoro{}
+	}
+}
+
 // runTeam drives the block until every warp retires. Control moves
 // between the warps themselves at Sync points; the manager only injects
 // it, and regains it when the whole control chain has suspended — at

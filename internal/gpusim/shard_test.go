@@ -1,6 +1,10 @@
 package gpusim
 
-import "testing"
+import (
+	"testing"
+
+	"indigo/internal/testutil"
+)
 
 // TestTransactionsEmptyRange pins the hi <= lo guard: the old
 // (hi-1)/segBytes bound underflowed for hi == 0 and produced a huge
@@ -134,4 +138,35 @@ func TestWarmedLaunchNoAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(5, bar); avg != 0 {
 		t.Errorf("barrier path: %.1f allocs per warmed launch, want 0", avg)
 	}
+}
+
+// TestCloseStopsWarpCoroutines: a barrier launch leaves one suspended
+// coroutine per warp slot; Close stops them all, and the device stays
+// usable — the next barrier launch recreates them with the same result.
+func TestCloseStopsWarpCoroutines(t *testing.T) {
+	defer testutil.Snapshot(t).Check(t)
+	d := testDevice()
+	n := int64(1 << 12)
+	out := d.AllocI64(1)
+	cfg := LaunchCfg{Blocks: GridSize(n, 256), NeedsBarrier: true}
+	kern := func(w *Warp) {
+		ctr := w.SharedI64(0, 1)
+		for l := 0; l < WarpSize; l++ {
+			if i := w.Gidx(l); i < n {
+				w.BlockAtomicAddI64(ctr, 0, 1)
+			}
+		}
+		w.Sync()
+		if w.WarpInBlock == 0 {
+			w.AtomicAddI64(out, 0, w.SharedLdI64(ctr, 0))
+		}
+	}
+	d.Launch(cfg, kern)
+	d.Close()
+	d.Launch(cfg, kern)
+	if got := out.Host()[0]; got != 2*n {
+		t.Fatalf("two launches around Close counted %d, want %d", got, 2*n)
+	}
+	d.Close()
+	d.Close()
 }

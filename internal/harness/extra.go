@@ -73,6 +73,7 @@ func (s *Session) Ablation() *Report {
 		for _, cfg := range styles.Enumerate(styles.SSSP, styles.CUDA) {
 			d := gpusim.New(prof)
 			_, tput, err := runner.TimeGPU(d, g, cfg, algo.Options{Threads: s.Opt.Threads})
+			d.Close()
 			if err != nil {
 				continue
 			}

@@ -327,6 +327,7 @@ func (s *Session) baselineTput(a styles.Algorithm, model styles.Model, in gen.In
 		var ts []float64
 		for _, prof := range gpusim.Profiles() {
 			d := gpusim.New(prof)
+			defer d.Close()
 			var st gpusim.Stats
 			switch a {
 			case styles.BFS:

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -20,25 +21,35 @@ func ftoa(x float64) string {
 	return fmt.Sprintf("%.2f", x)
 }
 
-// timeCPUBaseline runs the Lonestar-style CPU baseline once and returns
-// its throughput in giga-edges per second.
+// timeCPUBaseline times the Lonestar-style CPU baseline and returns its
+// throughput in giga-edges per second. One untimed warm-up run pays the
+// cold-start costs (page faults, and the region pool it leaves on the
+// free list), then the best of three timed runs is kept, so a single
+// host stall cannot move a Fig. 16 row.
 func timeCPUBaseline(a styles.Algorithm, g *graph.Graph, threads int) float64 {
-	start := time.Now()
+	var run func()
 	switch a {
 	case styles.BFS:
-		baseline.BFSDirOpt(g, 0, threads, nil)
+		run = func() { baseline.BFSDirOpt(g, 0, threads, nil) }
 	case styles.SSSP:
-		baseline.SSSPDelta(g, 0, threads, 0, nil)
+		run = func() { baseline.SSSPDelta(g, 0, threads, 0, nil) }
 	case styles.CC:
-		baseline.CCJump(g, threads, nil)
+		run = func() { baseline.CCJump(g, threads, nil) }
 	case styles.MIS:
-		baseline.MISLuby(g, threads, 42, nil)
+		run = func() { baseline.MISLuby(g, threads, 42, nil) }
 	case styles.PR:
-		baseline.PROpt(g, threads, 0.85, 1e-4, g.N+8, nil)
+		run = func() { baseline.PROpt(g, threads, 0.85, 1e-4, g.N+8, nil) }
 	case styles.TC:
-		baseline.TCOrient(g, threads, nil)
+		run = func() { baseline.TCOrient(g, threads, nil) }
 	default:
 		return 0
 	}
-	return runner.Throughput(g, time.Since(start).Seconds())
+	run()
+	best := time.Duration(math.MaxInt64)
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		run()
+		best = min(best, time.Since(start))
+	}
+	return runner.Throughput(g, best.Seconds())
 }

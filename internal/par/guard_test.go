@@ -146,18 +146,19 @@ func TestGuardedForConcurrent(t *testing.T) {
 	}
 }
 
-// TestGuardedSpawnFallback: the spawn-per-region path honors the token
-// too (it is the closed-pool fallback, so cancellation must survive it).
+// TestGuardedSpawnFallback: a closed pool falls back to spawn-per-region
+// execution (a supervisor may close a pool an abandoned run still holds),
+// and that fallback honors the token too.
 func TestGuardedSpawnFallback(t *testing.T) {
-	SetPooling(false)
-	defer SetPooling(true)
+	p := NewPool(4)
+	p.Close()
 	gd := guard.New()
 	defer gd.Release()
 	var seen atomic.Int64
 	var err error
 	func() {
 		defer guard.Recover(&err)
-		FixedGuarded(4, gd).For(1<<40, Static, func(i int64) {
+		p.Guarded(gd).For(1<<40, Static, func(i int64) {
 			if seen.Add(1) == 100 {
 				gd.Cancel()
 			}

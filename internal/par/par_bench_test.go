@@ -55,9 +55,11 @@ func BenchmarkReduceStyles(b *testing.B) {
 // BenchmarkDispatch measures per-region fork/join overhead — the cost
 // the pool runtime exists to amortize — at small region sizes, where
 // road-network frontiers live. "pooled" dispatches on one persistent
-// Pool; "spawn" is the legacy spawn-per-region path. cmd/bench turns the
-// pooled/spawn ratio into BENCH_pool.json.
+// Pool; "spawn" calls the spawn-per-region reference (the closed-pool
+// fallback) directly. The pooled rows are the dispatch rung of the
+// benchmark ladder recorded in BENCH.txt.
 func BenchmarkDispatch(b *testing.B) {
+	body := func(int64) {}
 	for _, t := range []int{4, 8} {
 		for _, n := range []int64{8, 64} {
 			b.Run(fmt.Sprintf("pooled/t%d/n%d", t, n), func(b *testing.B) {
@@ -65,15 +67,12 @@ func BenchmarkDispatch(b *testing.B) {
 				defer p.Close()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					p.For(n, Static, func(int64) {})
+					p.For(n, Static, body)
 				}
 			})
 			b.Run(fmt.Sprintf("spawn/t%d/n%d", t, n), func(b *testing.B) {
-				defer SetPooling(true)
-				SetPooling(false)
-				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					For(t, n, Static, func(int64) {})
+					forSpawn(t, n, Static, body, nil, nil)
 				}
 			})
 		}
@@ -84,8 +83,8 @@ func BenchmarkDispatch(b *testing.B) {
 // token next to the unguarded fast path at the same region size. The
 // two sides should read within noise of each other: sub-stride shares
 // run the exact unguarded loops, so a region only pays for guarding at
-// the one dispatch-entry poll. cmd/bench -guard measures the same
-// contrast end to end through a road-BFS run (BENCH_guard.json).
+// the one dispatch-entry poll. cmd/bench gates the same contrast end to
+// end through a road-BFS run (the guard row of BENCH.txt).
 func BenchmarkDispatchGuarded(b *testing.B) {
 	const t, n = 4, 64
 	b.Run("unguarded", func(b *testing.B) {
@@ -110,7 +109,8 @@ func BenchmarkDispatchGuarded(b *testing.B) {
 }
 
 // BenchmarkWorklistPushStyles compares a full region of pushes through
-// the shared size counter against the per-worker reservation buffers.
+// the shared size counter against the per-worker reservation buffers
+// (the worklist rung of the ladder in BENCH.txt).
 func BenchmarkWorklistPushStyles(b *testing.B) {
 	const t, n = 4, benchN
 	b.Run("shared-counter", func(b *testing.B) {

@@ -442,10 +442,6 @@ func ForConcurrentTID(t int, gd *guard.Token, body func(tid int, i int64)) {
 	if t < 1 {
 		t = 1
 	}
-	if !pooling.Load() {
-		forSpawn(t, int64(t), Static, nil, body, gd)
-		return
-	}
 	p := AcquirePool(t)
 	defer ReleasePool(p)
 	p.dispatch(int64(t), Static, nil, body, false, gd)
@@ -779,18 +775,6 @@ func DrainPoolCache() {
 	}
 }
 
-// pooling gates the package-level For/ForTID between the pool runtime
-// and the legacy spawn-per-region implementation. It exists for
-// benchmarks and equivalence tests; production code leaves it on.
-var pooling atomic.Bool
-
-func init() { pooling.Store(true) }
-
-// SetPooling toggles the package-level fork/join front end between the
-// persistent pool runtime (true, the default) and spawn-per-region
-// execution (false). Only tests and benchmarks should call this.
-func SetPooling(on bool) { pooling.Store(on) }
-
 // fixedExec adapts the package-level functions to Executor, optionally
 // under a guard token.
 type fixedExec struct {
@@ -813,8 +797,7 @@ func (f fixedExec) ForTID(n int64, s Sched, body func(tid int, i int64)) {
 }
 
 // Fixed returns the default executor for t logical threads: regions run
-// on free-list pools (or spawned goroutines when pooling is disabled).
-// t < 1 is treated as 1.
+// on free-list pools. t < 1 is treated as 1.
 func Fixed(t int) Executor {
 	return FixedGuarded(t, nil)
 }
@@ -828,7 +811,7 @@ func FixedGuarded(t int, gd *guard.Token) Executor {
 	return fixedExec{t, gd}
 }
 
-// forAny is the common pooled-or-spawned region entry behind the
+// forAny is the common free-list-pool region entry behind the
 // package-level For/ForTID and the Fixed executors. Schedule validation
 // happens at the public call sites so their panic messages keep the
 // caller's name.
@@ -837,22 +820,17 @@ func forAny(t int, n int64, s Sched, body func(i int64), bodyTID func(tid int, i
 		gd.Poll()
 		return
 	}
-	if !pooling.Load() {
-		forSpawn(t, n, s, body, bodyTID, gd)
-		return
-	}
 	p := AcquirePool(t)
 	defer ReleasePool(p)
 	p.dispatch(n, s, body, bodyTID, true, gd)
 }
 
 // forSpawn is the spawn-per-region reference implementation — the
-// pre-pool substrate, kept as the closed-pool fallback, the
-// SetPooling(false) path, and the baseline that schedule-equivalence
-// tests and dispatch benchmarks compare against. Exactly one of body and
-// bodyTID must be non-nil. A non-nil gd is honored with a per-iteration
-// poll — this path is off the measured fast path, so simplicity beats
-// amortization here.
+// pre-pool substrate, kept as the closed-pool fallback and the baseline
+// that schedule-equivalence tests and dispatch benchmarks compare
+// against. Exactly one of body and bodyTID must be non-nil. A non-nil gd
+// is honored with a per-iteration poll — this path is off the measured
+// fast path, so simplicity beats amortization here.
 func forSpawn(t int, n int64, s Sched, body func(i int64), bodyTID func(tid int, i int64), gd *guard.Token) {
 	if gd != nil {
 		gd.Poll()

@@ -207,16 +207,21 @@ func TestAcquireReleaseReuse(t *testing.T) {
 	r.Close()
 }
 
-// TestSpawnFallbackEquivalence: SetPooling(false) routes the package
-// front end through spawn-per-region; results must be identical.
+// TestSpawnFallbackEquivalence: the spawn-per-region reference, called
+// directly and reached through a closed pool (the production fallback),
+// computes what the pooled front end computes.
 func TestSpawnFallbackEquivalence(t *testing.T) {
-	defer SetPooling(true)
-	for _, on := range []bool{true, false} {
-		SetPooling(on)
+	closed := NewPool(4)
+	closed.Close()
+	for name, run := range map[string]func(body func(int64)){
+		"pooled":      func(body func(int64)) { For(4, 200, Dynamic, body) },
+		"spawn":       func(body func(int64)) { forSpawn(4, 200, Dynamic, body, nil, nil) },
+		"closed-pool": func(body func(int64)) { closed.For(200, Dynamic, body) },
+	} {
 		var sum atomic.Int64
-		For(4, 200, Dynamic, func(i int64) { sum.Add(i) })
+		run(func(i int64) { sum.Add(i) })
 		if sum.Load() != 199*200/2 {
-			t.Fatalf("pooling=%v: sum %d, want %d", on, sum.Load(), 199*200/2)
+			t.Fatalf("%s: sum %d, want %d", name, sum.Load(), 199*200/2)
 		}
 	}
 }

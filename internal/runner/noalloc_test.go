@@ -15,7 +15,7 @@ import (
 // pickCfg returns the first enumerated variant of algorithm a under
 // model that satisfies want; the enumeration is deterministic, so the
 // choice is stable across runs.
-func pickCfg(t *testing.T, a styles.Algorithm, model styles.Model, want func(styles.Config) bool) styles.Config {
+func pickCfg(t testing.TB, a styles.Algorithm, model styles.Model, want func(styles.Config) bool) styles.Config {
 	t.Helper()
 	for _, cfg := range styles.Enumerate(a, model) {
 		if want(cfg) {
@@ -26,11 +26,11 @@ func pickCfg(t *testing.T, a styles.Algorithm, model styles.Model, want func(sty
 	return styles.Config{}
 }
 
-// noAllocCases is one representative CPU variant per family, chosen to
-// cover all the scratch-checkout paths: data-driven worklists with and
-// without the stamp, deterministic double buffering, the OMP critical
-// singletons, and all three reduction styles.
-func noAllocCases(t *testing.T) []styles.Config {
+// noAllocCases is one representative CPU variant per family, plus a
+// second SSSP, chosen to cover all the scratch-checkout paths:
+// data-driven worklists with and without the stamp, deterministic double
+// buffering, the OMP critical singletons, and all three reduction styles.
+func noAllocCases(t testing.TB) []styles.Config {
 	return []styles.Config{
 		pickCfg(t, styles.BFS, styles.CPP, func(c styles.Config) bool {
 			return c.Drive == styles.DataDrivenNoDup && c.Flow == styles.Push
@@ -38,6 +38,10 @@ func noAllocCases(t *testing.T) []styles.Config {
 		pickCfg(t, styles.SSSP, styles.OMP, func(c styles.Config) bool {
 			return c.Drive == styles.TopologyDriven && c.Flow == styles.Push &&
 				c.Det == styles.NonDeterministic
+		}),
+		pickCfg(t, styles.SSSP, styles.CPP, func(c styles.Config) bool {
+			return c.Drive == styles.DataDrivenDup && c.Flow == styles.Push &&
+				c.Update == styles.ReadModifyWrite
 		}),
 		pickCfg(t, styles.CC, styles.CPP, func(c styles.Config) bool {
 			return c.Drive == styles.TopologyDriven && c.Flow == styles.Pull &&

@@ -83,22 +83,3 @@ func MeasureGPU(d *gpusim.Device, g *graph.Graph, cfg styles.Config, opt algo.Op
 	}
 	return res, Throughput(g, st.Seconds(d.Prof)), st, nil
 }
-
-// Run dispatches to RunCPU or RunGPU by model; d may be nil for CPU
-// variants.
-func Run(d *gpusim.Device, g *graph.Graph, cfg styles.Config, opt algo.Options) (algo.Result, error) {
-	if cfg.Model == styles.CUDA {
-		res, _, err := RunGPU(d, g, cfg, opt)
-		return res, err
-	}
-	return RunCPU(g, cfg, opt)
-}
-
-// Time dispatches to TimeCPU or TimeGPU by model; d may be nil for CPU
-// variants.
-func Time(d *gpusim.Device, g *graph.Graph, cfg styles.Config, opt algo.Options) (algo.Result, float64, error) {
-	if cfg.Model == styles.CUDA {
-		return TimeGPU(d, g, cfg, opt)
-	}
-	return TimeCPU(g, cfg, opt)
-}

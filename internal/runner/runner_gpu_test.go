@@ -101,35 +101,6 @@ func TestTimeGPUPositiveThroughput(t *testing.T) {
 	}
 }
 
-func TestRunDispatch(t *testing.T) {
-	g := gen.Generate(gen.InputRoad, gen.Tiny)
-	d := gpusim.New(gpusim.RTXSim())
-	opt := algo.Options{}
-	ref := verify.NewReference(g, opt)
-	gpuCfg := styles.Enumerate(styles.CC, styles.CUDA)[0]
-	cpuCfg := styles.Enumerate(styles.CC, styles.OMP)[0]
-	gres, err := Run(d, g, gpuCfg, opt)
-	if err == nil {
-		err = ref.Check(gpuCfg, gres)
-	}
-	if err != nil {
-		t.Error(err)
-	}
-	cres, err := Run(nil, g, cpuCfg, opt)
-	if err == nil {
-		err = ref.Check(cpuCfg, cres)
-	}
-	if err != nil {
-		t.Error(err)
-	}
-	if _, tput, err := Time(d, g, gpuCfg, opt); err != nil || tput <= 0 {
-		t.Errorf("Time GPU dispatch: tput=%v err=%v", tput, err)
-	}
-	if _, tput, err := Time(nil, g, cpuCfg, opt); err != nil || tput <= 0 {
-		t.Errorf("Time CPU dispatch: tput=%v err=%v", tput, err)
-	}
-}
-
 // TestRunGPURejectsCPUConfig: dispatch mismatches and a nil device are
 // recoverable caller errors, not panics.
 func TestRunGPURejectsCPUConfig(t *testing.T) {

@@ -544,13 +544,17 @@ func (h *poolHolder) replace() {
 	h.arena.Retire()
 	h.arena = scratch.Acquire()
 	// The abandoned run may still be scribbling on its device's arrays
-	// and cost shards; abandon the devices with it.
+	// and cost shards; abandon the devices with it, unclosed, since
+	// Close must not race its in-flight launch.
 	h.devs = make(map[string]*gpusim.Device)
 }
 
 func (h *poolHolder) close() {
 	h.pool.Close()
 	scratch.Release(h.arena)
+	for _, d := range h.devs {
+		d.Close()
+	}
 }
 
 // runTask resolves resume and quarantine as far as the tasks committed

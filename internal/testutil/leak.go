@@ -47,8 +47,7 @@ type Leaks struct {
 	ignores []string
 }
 
-// errorer is the slice of testing.TB the checker needs; it keeps the
-// package importable from non-test code (cmd/bench's alloc checks).
+// errorer is the slice of testing.TB the checker needs.
 type errorer interface {
 	Helper()
 	Errorf(format string, args ...any)

@@ -15,7 +15,7 @@
 //     disabled path — a zero Ctx — is a single nil check per span site:
 //     every Ctx method returns immediately when no tracer is attached,
 //     so instrumented code pays nothing when tracing is off (pinned by
-//     cmd/bench -traceoverhead, DESIGN.md §15).
+//     the cmd/bench gate, DESIGN.md §15).
 //
 //   - Flushing. At run boundaries (a sweep task, a tune trial, an HTTP
 //     request) the owner calls Flush, which drains every shard under a

@@ -6,27 +6,45 @@ import (
 
 	"indigo/internal/algo"
 	"indigo/internal/gen"
+	"indigo/internal/graph"
 	"indigo/internal/styles"
 	"indigo/internal/sweep"
 	"indigo/internal/testutil"
 )
 
-// TestSmokeBeatsTheBar is the acceptance bar on a real cell: tune
-// bfs/cuda on a generated tiny graph through the production
+// TestSmokeBeatsTheBar is the acceptance bar on real cells: tune each
+// CUDA cell on a generated tiny graph through the production
 // ProbeRunner, then exhaustively measure the same cell and assert the
 // tuner landed within 5% of the sweep best using at most 25% of its
-// measurements. The GPU simulator's timing model is deterministic, so
-// the assertion is stable; Escalate is 1 because repeating a
-// deterministic measurement buys nothing.
+// measurements. The cells span three families and input shapes, and
+// pr's space includes barrier kernels, so the leak check after each cell
+// also pins that closing a ProbeRunner stops its devices' warp
+// coroutines. The GPU simulator's timing model is deterministic, so the
+// assertion is stable; Escalate is 1 because repeating a deterministic
+// measurement buys nothing.
 func TestSmokeBeatsTheBar(t *testing.T) {
-	defer testutil.Snapshot(t).Check(t)
-	g := gen.Generate(gen.InputRMAT, gen.Tiny)
+	for _, c := range []struct {
+		a  styles.Algorithm
+		in gen.Input
+	}{
+		{styles.BFS, gen.InputRMAT},
+		{styles.SSSP, gen.InputRoad},
+		{styles.PR, gen.InputSocial},
+	} {
+		t.Run(c.a.String(), func(t *testing.T) {
+			defer testutil.Snapshot(t).Check(t)
+			smokeBeatsTheBar(t, c.a, gen.Generate(c.in, gen.Tiny))
+		})
+	}
+}
+
+func smokeBeatsTheBar(t *testing.T, a styles.Algorithm, g *graph.Graph) {
 	ropt := algo.Options{Threads: 2}
 	sopt := sweep.Options{Timeout: 10 * time.Second, Verify: true}
 
 	pr := NewProbeRunner(g, "rtx-sim", ropt, sopt)
 	opt := Options{
-		Algo:     styles.BFS,
+		Algo:     a,
 		Model:    styles.CUDA,
 		Device:   "rtx-sim",
 		Shape:    g.Stats(),
@@ -43,7 +61,7 @@ func TestSmokeBeatsTheBar(t *testing.T) {
 		t.Fatalf("partial result: %s", res.PartialReason)
 	}
 
-	space := styles.Enumerate(styles.BFS, styles.CUDA)
+	space := styles.Enumerate(a, styles.CUDA)
 	if res.Measurements*4 > len(space) {
 		t.Fatalf("tuner spent %d measurements; the bar is 25%% of the %d-variant sweep",
 			res.Measurements, len(space))
@@ -65,10 +83,10 @@ func TestSmokeBeatsTheBar(t *testing.T) {
 		}
 	}
 	regret := (best - res.Tput) / best
-	t.Logf("tuned %s = %.1f in %d trials; sweep best %s = %.1f (%d trials); regret %.2f%%",
+	t.Logf("tuned %s = %.3g in %d trials; sweep best %s = %.3g (%d trials); regret %.2f%%",
 		res.Best.Name(), res.Tput, res.Measurements, bestName, best, len(space), 100*regret)
 	if regret > 0.05 {
-		t.Fatalf("regret %.2f%% exceeds the 5%% bar (tuned %.1f, sweep best %.1f)",
+		t.Fatalf("regret %.2f%% exceeds the 5%% bar (tuned %.3g, sweep best %.3g)",
 			100*regret, res.Tput, best)
 	}
 }
